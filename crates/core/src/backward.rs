@@ -59,16 +59,11 @@ impl BppsaOptions {
         Self::default()
     }
 
-    /// Full Blelloch with `threads` worker threads per level.
-    pub fn threaded(threads: usize) -> Self {
-        Self {
-            executor: Executor::Threaded(threads),
-            ..Self::default()
-        }
-    }
-
-    /// Full Blelloch on the shared persistent worker pool — the fastest CPU
-    /// executor for repeated scans (no per-level thread spawns).
+    /// Full Blelloch with each level's combines fanned across the shared
+    /// persistent worker pool. Pays a pool wakeup per level, so it only
+    /// beats [`BppsaOptions::serial`] when a level's combines are heavy;
+    /// batched training gets its parallelism from fanning whole samples
+    /// across the pool instead.
     pub fn pooled() -> Self {
         Self {
             executor: Executor::Pooled,
@@ -314,10 +309,11 @@ mod tests {
 
     #[test]
     fn threaded_equals_serial() {
+        // The pooled executor runs each level on the pool's worker threads.
         let chain = random_chain(21, 5);
         let serial = bppsa_backward(&chain, BppsaOptions::serial());
-        let threaded = bppsa_backward(&chain, BppsaOptions::threaded(4));
-        assert!(serial.max_abs_diff(&threaded) < 1e-12);
+        let pooled = bppsa_backward(&chain, BppsaOptions::pooled());
+        assert!(serial.max_abs_diff(&pooled) < 1e-12);
     }
 
     #[test]

@@ -1185,8 +1185,7 @@ pub struct PlannedBackwardCache<S> {
     plans_built: usize,
 }
 
-/// How many distinct chain structures the plan cache (and the chain cache
-/// layered on it, e.g. `FusedPlannedState` in `bppsa-models`) retain.
+/// How many distinct chain structures the plan cache retains.
 /// Training loops see at most a handful of shapes (the full mini-batch
 /// shape plus the epoch-end remainder); the least recently used entry is
 /// evicted beyond this.

@@ -305,7 +305,7 @@ impl<S: Scalar> Gru<S> {
     /// deterministic) full pattern, so the whole backward pass re-executes
     /// as a numeric-only program over reused buffers every iteration.
     ///
-    /// Unlike the RNN's `FusedPlannedState` path, the chain itself is still
+    /// Unlike the RNN's pooled route, the chain itself is still
     /// rebuilt (allocated) per call here, and the cache's match check falls
     /// back to a structural pattern compare; hoisting the GRU chain the
     /// same way is future work.

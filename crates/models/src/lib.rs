@@ -51,9 +51,10 @@ pub use gru::{Gru, GruStep};
 pub use lenet::{lenet5, lenet_tiny};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pooled::PooledChainSet;
-pub use rnn::{FusedPlannedState, RnnBatchSample, RnnGrads, RnnStates, VanillaRnn};
+pub use rnn::{RnnBatchSample, RnnGrads, RnnStates, VanillaRnn};
 pub use served::{ServedChainSet, ServedSubmitError};
-pub use ssm::{DiagonalSsm, SsmBatchSample, SsmGrads, SsmStates, SsmTrainState};
+pub use ssm::{DiagonalSsm, SsmBatchSample, SsmGrads, SsmStates};
+pub use train::RecurrentTrainState;
 pub use vgg::{vgg11, vgg11_conv_geometry, vgg11_convs, VGG11_WIDTHS};
 
 #[cfg(test)]

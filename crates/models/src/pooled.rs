@@ -2,29 +2,29 @@
 //! [`BatchedBackward`]: a reusable set of same-shape per-sample chains plus
 //! the pooled executor they fan out on.
 //!
-//! The fused path (`FusedPlannedState`) merges a mini-batch into **one**
-//! block-diagonal scan; this module implements the complementary strategy —
-//! one *per-sample* chain each, all matching a single compiled
-//! [`PlannedScan`](bppsa_core::PlannedScan), executed concurrently over a
-//! [`WorkspacePool`](bppsa_core::WorkspacePool). Because the per-sample
-//! chain shape is independent of the batch size, a remainder batch at epoch
-//! end reuses the same plan instead of planning a second shape.
+//! This is the batched BPPSA training route: one *per-sample* chain each,
+//! all matching a single compiled [`PlannedScan`], executed concurrently
+//! over a [`WorkspacePool`](bppsa_core::WorkspacePool). Because the
+//! per-sample chain shape is independent of the batch size, a remainder
+//! batch at epoch end reuses the same plan instead of planning a second
+//! shape. A deep chain with fewer samples than workers can instead split
+//! each sample's scan into concurrent segments
+//! ([`BppsaOptions::segmented`]).
 //!
 //! The accumulation of per-sample parameter gradients into one update is
 //! what makes this valid: the paper's optimizers consume the batch *sum*
 //! (§2.2 — BPPSA is "agnostic to the exact first-order optimizer"), and a
 //! sum is insensitive to which workspace computed which sample.
 
-use bppsa_core::{
-    BackwardResult, BatchedBackward, BppsaOptions, DiagonalMode, JacobianChain, PlannedScan,
-};
+use bppsa_core::{BackwardResult, BatchedBackward, BppsaOptions, JacobianChain, PlannedScan};
 use bppsa_tensor::Scalar;
 use std::sync::Arc;
 
 /// A lazily-built set of structurally-identical per-sample chains and the
 /// [`BatchedBackward`] executor that fans them over pooled workspaces.
 ///
-/// Owned by a training loop (e.g. inside `FusedPlannedState`); models call
+/// Owned by a training loop (inside
+/// [`RecurrentTrainState`](crate::RecurrentTrainState)); models call
 /// [`PooledChainSet::ensure`] with their chain shape each iteration, refresh
 /// the chains' *values* in place via [`PooledChainSet::chains_mut`], and fan
 /// out with [`PooledChainSet::execute`]. Planning happens only when the
@@ -40,11 +40,9 @@ pub struct PooledChainSet<S> {
 struct Entry<S> {
     /// `(chain length, element width)` of the per-sample chains.
     key: (usize, usize),
-    /// The plan-relevant parts of the caller's options: the schedule shape
-    /// and the diagonal plan-kind mode. Executor choices must not force a
-    /// re-plan.
-    up_levels: Option<usize>,
-    diagonal: DiagonalMode,
+    /// The options the plan was built with, normalized by
+    /// [`plan_options`]: the caller's executor never forces a re-plan.
+    opts: BppsaOptions,
     /// One refreshable chain per batch slot; all clones of `chains[0]`, so
     /// every chain shares the template's `Arc` sparsity patterns and the
     /// plan's structural match is pointer equality.
@@ -62,11 +60,12 @@ impl<S: Scalar> PooledChainSet<S> {
     }
 
     /// Ensures `n` chains of shape `key` exist, building the template chain
-    /// with `build` and planning it when the shape or options changed since
-    /// the last call. The plan itself always uses the serial executor —
-    /// parallelism comes from fanning whole samples across the pool, not
-    /// from splitting one sample's levels — while `opts` still selects the
-    /// schedule (full Blelloch vs. §5.2 hybrid).
+    /// with `build` and planning it when the shape or the plan options
+    /// changed since the last call. `opts` selects the schedule (full
+    /// Blelloch vs. §5.2 hybrid), the diagonal and kernel modes and the
+    /// segment count. Its executor is ignored: an unsegmented plan runs
+    /// serially inside the per-sample fan-out, and a segmented plan runs
+    /// its segments on worker groups carved from the pool.
     pub fn ensure(
         &mut self,
         key: (usize, usize),
@@ -74,25 +73,16 @@ impl<S: Scalar> PooledChainSet<S> {
         opts: BppsaOptions,
         build: impl FnOnce() -> JacobianChain<S>,
     ) {
-        // Only the schedule shape is plan-relevant: re-planning on executor
-        // changes would silently defeat the cache.
-        let rebuild = match &self.entry {
-            Some(e) => e.key != key || e.up_levels != opts.up_levels || e.diagonal != opts.diagonal,
-            None => true,
-        };
-        if rebuild {
+        let opts = plan_options(opts);
+        if !matches!(&self.entry, Some(e) if e.key == key && e.opts == opts) {
             let template = build();
-            let mut plan_opts = BppsaOptions::serial();
-            plan_opts.up_levels = opts.up_levels;
-            plan_opts.diagonal = opts.diagonal;
-            let plan = Arc::new(PlannedScan::plan(&template, plan_opts));
+            let plan = Arc::new(PlannedScan::plan(&template, opts));
             let batched = BatchedBackward::new(plan);
             let mut chains = Vec::with_capacity(n);
             chains.push(template);
             self.entry = Some(Entry {
                 key,
-                up_levels: opts.up_levels,
-                diagonal: opts.diagonal,
+                opts,
                 chains,
                 batched,
             });
@@ -141,5 +131,69 @@ impl<S: Scalar> PooledChainSet<S> {
     /// The current plan, if any (for FLOP/workspace accounting).
     pub fn plan(&self) -> Option<&Arc<PlannedScan>> {
         self.entry.as_ref().map(|e| e.batched.plan())
+    }
+}
+
+/// The options a pooled plan is built with. Parallelism comes from fanning
+/// whole samples across the pool, not from splitting one sample's levels,
+/// so an unsegmented plan always uses the serial executor. Segment groups
+/// are carved from the pool, so a segmented plan uses the pooled executor.
+fn plan_options(opts: BppsaOptions) -> BppsaOptions {
+    let executor = if opts.segments > 1 {
+        BppsaOptions::pooled().executor
+    } else {
+        BppsaOptions::serial().executor
+    };
+    BppsaOptions { executor, ..opts }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bppsa_core::{KernelMode, ScanElement};
+    use bppsa_sparse::Csr;
+    use bppsa_tensor::{Matrix, Vector};
+
+    /// A chain of fully dense 20×20 CSR Jacobians (the §4.1 RNN shape),
+    /// which `KernelMode::Auto` plans onto the dense kernel.
+    fn dense_chain(layers: usize) -> JacobianChain<f64> {
+        let width = 20;
+        let mut chain = JacobianChain::new(Vector::from_vec(vec![1.0; width]));
+        for l in 0..layers {
+            let m = Matrix::from_fn(width, width, |i, j| {
+                ((i + 3 * j + l) % 7) as f64 / 7.0 - 0.4
+            });
+            chain.push(ScanElement::Sparse(Csr::from_dense_pattern(&m)));
+        }
+        chain
+    }
+
+    #[test]
+    fn plan_option_changes_replan_and_executor_changes_do_not() {
+        let layers = 40;
+        let key = (layers, 20);
+        let mut set = PooledChainSet::new();
+        set.ensure(key, 2, BppsaOptions::pooled(), || dense_chain(layers));
+        assert_eq!(set.plans_built(), 1);
+        assert!(set.plan().unwrap().kernel_counts().dense > 0);
+
+        // The executor is not a plan option.
+        set.ensure(key, 2, BppsaOptions::serial(), || dense_chain(layers));
+        assert_eq!(set.plans_built(), 1);
+
+        // Forcing a kernel re-plans, and the new plan runs only that kernel.
+        let gather = BppsaOptions::pooled().kernel(KernelMode::Gather);
+        set.ensure(key, 2, gather, || dense_chain(layers));
+        assert_eq!(set.plans_built(), 2);
+        let counts = set.plan().unwrap().kernel_counts();
+        assert!(counts.gather > 0, "{counts:?}");
+        assert_eq!(counts.gather, counts.total(), "{counts:?}");
+
+        // So does changing the segment count.
+        set.ensure(key, 2, gather.segmented(2), || dense_chain(layers));
+        assert_eq!(set.plans_built(), 3);
+        assert_eq!(set.plan().unwrap().segments(), 2);
+        set.ensure(key, 2, gather.segmented(2), || dense_chain(layers));
+        assert_eq!(set.plans_built(), 3);
     }
 }

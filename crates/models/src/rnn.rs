@@ -11,11 +11,12 @@
 //! (classic back-propagation through time, the cuDNN-baseline math) and
 //! [`VanillaRnn::backward_bppsa`] (chain → modified Blelloch scan →
 //! Equation 2 parameter accumulation, which has no sequential dependency).
+//! Mini-batches scan one planned per-sample chain each, fanned across the
+//! worker pool ([`VanillaRnn::backward_bppsa_pooled`]) or submitted to the
+//! `bppsa-serve` front door ([`VanillaRnn::backward_bppsa_served`]).
 
 use crate::pooled::PooledChainSet;
-use bppsa_core::{
-    bppsa_backward, BppsaOptions, JacobianChain, Mru, PlannedBackwardCache, ScanElement,
-};
+use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_tensor::{init, Matrix, Scalar, Vector};
 use rand::rngs::StdRng;
@@ -49,7 +50,7 @@ pub struct VanillaRnn<S> {
 /// The recorded hidden states `h_0 … h_{T−1}` of one forward pass.
 pub type RnnStates<S> = Vec<Vector<S>>;
 
-/// One prepared sample of a fused mini-batch backward:
+/// One prepared sample of a batched backward:
 /// `(bits, states, seed, ∇logits)` with the seeds pre-scaled by `1/B`.
 pub type RnnBatchSample<'a, S> = (&'a [S], &'a RnnStates<S>, Vector<S>, Vector<S>);
 
@@ -110,84 +111,6 @@ impl<S: Scalar> RnnGrads<S> {
         a.iter()
             .zip(&b)
             .fold(S::ZERO, |acc, (&x, &y)| acc.maximum((x - y).abs()))
-    }
-}
-
-/// Persistent planned-backward state for one RNN training loop, covering
-/// both batched strategies:
-///
-/// * **fused** ([`VanillaRnn::backward_bppsa_batched_planned`]): the whole
-///   mini-batch enters one block-diagonal scan; this state holds the
-///   reusable chain (patterns shared across iterations) plus the
-///   plan/workspace cache;
-/// * **pooled** ([`VanillaRnn::backward_bppsa_pooled`]): one per-sample
-///   chain each, fanned concurrently over a
-///   [`WorkspacePool`](bppsa_core::WorkspacePool) sharing a single compiled
-///   plan; this state owns the [`PooledChainSet`];
-/// * **served** ([`VanillaRnn::backward_bppsa_served`]): the pooled
-///   strategy routed through the `bppsa-serve` front door — per-sample
-///   chains submitted as independent requests and coalesced by the
-///   service's deadline micro-batcher; this state owns the
-///   [`ServedChainSet`](crate::ServedChainSet).
-#[derive(Debug, Default)]
-pub struct FusedPlannedState<S> {
-    /// Reusable chains keyed by `(batch, timesteps, hidden)` — one per
-    /// mini-batch shape (e.g. the full shape plus the epoch-end remainder),
-    /// so alternating shapes refresh values instead of rebuilding. Shares
-    /// the plan cache's MRU policy and capacity, so a shape's chain and its
-    /// plan/workspace are retained and evicted together.
-    chains: Mru<((usize, usize, usize), JacobianChain<S>)>,
-    cache: PlannedBackwardCache<S>,
-    pooled: PooledChainSet<S>,
-    served: crate::ServedChainSet<S>,
-}
-
-impl<S: Scalar> FusedPlannedState<S> {
-    /// An empty state (builds chain and plan on first use).
-    pub fn new() -> Self {
-        Self {
-            chains: Mru::default(),
-            cache: PlannedBackwardCache::new(),
-            pooled: PooledChainSet::new(),
-            served: crate::ServedChainSet::new(),
-        }
-    }
-
-    /// How many fused plans have been built — the number of distinct batch
-    /// shapes seen.
-    pub fn plans_built(&self) -> usize {
-        self.cache.plans_built()
-    }
-
-    /// Number of currently cached fused plan/workspace pairs.
-    pub fn cached_plans(&self) -> usize {
-        self.cache.cached_plans()
-    }
-
-    /// The pooled per-sample chain set (the
-    /// [`VanillaRnn::backward_bppsa_pooled`] state).
-    pub fn pooled_mut(&mut self) -> &mut PooledChainSet<S> {
-        &mut self.pooled
-    }
-
-    /// How many pooled plans have been built — stays at `1` for a whole
-    /// run including remainder batches, since the per-sample chain shape is
-    /// batch-size independent.
-    pub fn pooled_plans_built(&self) -> usize {
-        self.pooled.plans_built()
-    }
-
-    /// The served per-sample chain set (the
-    /// [`VanillaRnn::backward_bppsa_served`] state).
-    pub fn served_mut(&mut self) -> &mut crate::ServedChainSet<S> {
-        &mut self.served
-    }
-
-    /// How many service lanes the served path has built — stays at `1` for
-    /// a whole run including remainder batches (same batch-size-independent
-    /// shape argument as [`FusedPlannedState::pooled_plans_built`]).
-    pub fn served_lanes_built(&self) -> usize {
-        self.served.lanes_built()
     }
 }
 
@@ -302,8 +225,8 @@ impl<S: Scalar> VanillaRnn<S> {
     }
 
     /// Writes [`VanillaRnn::hidden_jacobian_t`]'s values row-major into a
-    /// caller-owned slice — the allocation-free refresh used when a fused
-    /// chain's block values are rewritten in place between iterations.
+    /// caller-owned slice — the allocation-free refresh used when a pooled
+    /// chain's values are rewritten in place between iterations.
     ///
     /// # Panics
     ///
@@ -341,82 +264,28 @@ impl<S: Scalar> VanillaRnn<S> {
         opts: BppsaOptions,
     ) -> RnnGrads<S> {
         assert_eq!(bits.len(), states.len(), "bppsa: states/bits mismatch");
-        let h_dim = self.hidden_size();
         let chain = self.build_chain(states, seed);
         let result = bppsa_backward(&chain, opts);
-        // result.grads()[i] = ∇x_{i+1} where x_{i+1} = h_i → ∇h_t = grads()[t].
-        let mut grads = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
-        grads.d_wout = g_logits.outer(states.last().expect("nonempty"));
-        grads.d_bout = g_logits.clone();
-        for t in 0..states.len() {
-            let h_t = &states[t];
-            let g_h = result.grad_x(t + 1);
-            let g_z = Vector::from_fn(h_dim, |i| (S::ONE - h_t[i] * h_t[i]) * g_h[i]);
-            for i in 0..h_dim {
-                let v = grads.d_wih.get(i, 0) + g_z[i] * bits[t];
-                grads.d_wih.set(i, 0, v);
-            }
-            grads.d_bih.axpy(S::ONE, &g_z);
-            grads.d_bhh.axpy(S::ONE, &g_z);
-            if t > 0 {
-                grads.d_whh.axpy(S::ONE, &g_z.outer(&states[t - 1]));
-            }
-        }
+        let mut grads = RnnGrads::zeros(self.input_dim, self.hidden_size(), self.num_classes());
+        self.accumulate_sample_grads(bits, states, g_logits, &result, &mut grads);
         grads
-    }
-
-    /// Batched BPPSA: fuses `B` samples' backward passes into **one** scan
-    /// over block-diagonal Jacobians (`diag(J_t^{(1)}, …, J_t^{(B)})` per
-    /// timestep), then accumulates parameter gradients across the batch.
-    ///
-    /// Algebraically identical to summing [`VanillaRnn::backward_bppsa`]
-    /// over the batch (block-diagonal products are blockwise products), but
-    /// each scan level now carries `B×` the parallel work — the batching the
-    /// paper's CUDA implementation performs across thread blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn backward_bppsa_batched(
-        &self,
-        batch: &[RnnBatchSample<'_, S>],
-        opts: BppsaOptions,
-    ) -> RnnGrads<S> {
-        let chain = self.build_batched_chain(batch);
-        let result = bppsa_backward(&chain, opts);
-        self.accumulate_batched_grads(batch, &result)
-    }
-
-    /// [`VanillaRnn::backward_bppsa_batched`] through persistent
-    /// [`FusedPlannedState`]: the symbolic phase of every scan combine runs
-    /// once (on the first mini-batch of each shape) and each subsequent
-    /// iteration refreshes the reused chain's *values* in place and
-    /// executes the numeric-only program over reused buffers — the paper's
-    /// §3.3 hoisting applied to the whole training loop, with no
-    /// per-iteration chain reconstruction.
-    pub fn backward_bppsa_batched_planned(
-        &self,
-        batch: &[RnnBatchSample<'_, S>],
-        opts: BppsaOptions,
-        state: &mut FusedPlannedState<S>,
-    ) -> RnnGrads<S> {
-        let result = self.fused_planned_scan(batch, opts, state);
-        self.accumulate_batched_grads(batch, result)
     }
 
     /// Pooled batched BPPSA: one **per-sample** chain each, all matching a
     /// single compiled plan, fanned concurrently across the scan worker
     /// pool with each sample on its own pooled workspace
-    /// ([`BatchedBackward`](bppsa_core::BatchedBackward)) — the concurrent
-    /// complement of the fused block-diagonal strategy.
+    /// ([`BatchedBackward`](bppsa_core::BatchedBackward)). With
+    /// `opts.segments > 1` each sample's scan is additionally split into
+    /// exact segments run on worker groups carved from the pool (the deep
+    /// chain, few samples case).
     ///
     /// Valid whenever the optimizer consumes the batch-*accumulated*
     /// gradient (all of this crate's optimizers do): per-sample gradients
     /// are summed as results arrive, so the result equals summing
     /// [`VanillaRnn::backward_bppsa`] over the batch up to floating-point
-    /// reassociation of that sum. Unlike the fused path, the plan is
-    /// batch-size independent: an epoch-end remainder batch reuses the full
-    /// batch's plan instead of planning a second shape.
+    /// reassociation of that sum. The plan is batch-size independent: an
+    /// epoch-end remainder batch reuses the full batch's plan instead of
+    /// planning a second shape.
     ///
     /// # Panics
     ///
@@ -459,7 +328,7 @@ impl<S: Scalar> VanillaRnn<S> {
         state.execute(batch.len(), &|k, result| {
             let (bits, states, _, g_logits) = &batch[k];
             let mut partial = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
-            self.accumulate_sample_grads(bits, states, g_logits, result, 0, &mut partial);
+            self.accumulate_sample_grads(bits, states, g_logits, result, &mut partial);
             grads
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -528,7 +397,7 @@ impl<S: Scalar> VanillaRnn<S> {
         let mut grads = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
         state.execute(batch.len(), &mut |k, result| {
             let (bits, states, _, g_logits) = &batch[k];
-            self.accumulate_sample_grads(bits, states, g_logits, result, 0, &mut grads);
+            self.accumulate_sample_grads(bits, states, g_logits, result, &mut grads);
         })?;
         Ok(grads)
     }
@@ -603,70 +472,19 @@ impl<S: Scalar> VanillaRnn<S> {
                 let mut grads =
                     RnnGrads::zeros(self.input_dim, self.hidden_size(), self.num_classes());
                 ticket.with_result(|r| {
-                    self.accumulate_sample_grads(bits, states, g_logits, r, 0, &mut grads);
+                    self.accumulate_sample_grads(bits, states, g_logits, r, &mut grads);
                 });
                 grads
             })
             .collect())
     }
 
-    /// The scan half of [`VanillaRnn::backward_bppsa_batched_planned`]:
-    /// refresh (or build) the fused chain and run the planned backward.
-    /// Allocation-free in the steady state — the chain, its patterns, the
-    /// plan, and the workspace all persist inside `state`.
-    pub fn fused_planned_scan<'s>(
-        &self,
-        batch: &[RnnBatchSample<'_, S>],
-        opts: BppsaOptions,
-        state: &'s mut FusedPlannedState<S>,
-    ) -> &'s bppsa_core::BackwardResult<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(bits, states, _, _)| states.len() == t_len && bits.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        let shape = (batch.len(), t_len, h_dim);
-
-        let FusedPlannedState { chains, cache, .. } = state;
-        let ((_, chain), inserted) = chains.find_or_insert_with(
-            |(sh, _)| *sh == shape,
-            || (shape, self.build_batched_chain(batch)),
-        );
-        if !inserted {
-            // Same structure: rewrite seed and block values in place. The
-            // chain's Arc patterns stay identical across iterations, so the
-            // plan cache's match check is pointer equality.
-            let seed = chain.seed_mut().as_mut_slice();
-            for (k, (_, _, sample_seed, _)) in batch.iter().enumerate() {
-                seed[k * h_dim..(k + 1) * h_dim].copy_from_slice(sample_seed.as_slice());
-            }
-            let block = h_dim * h_dim;
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("fused chain elements are CSR")
-                };
-                let data = m.data_mut();
-                for (k, (_, states, _, _)) in batch.iter().enumerate() {
-                    self.fill_hidden_jacobian_values(
-                        &states[t],
-                        &mut data[k * block..(k + 1) * block],
-                    );
-                }
-            }
-        }
-
-        cache.backward(chain, opts)
-    }
-
-    /// Builds the fused mini-batch chain: concatenated seeds plus one
+    /// Builds the CSR chain of a batch: concatenated seeds plus one
     /// block-diagonal CSR element per timestep. The per-sample blocks use
     /// [`Csr::from_dense_pattern`](bppsa_sparse::Csr::from_dense_pattern),
     /// so the pattern depends only on `(B, T, hidden)` — deterministic
-    /// across iterations, which is what makes the chain plannable.
+    /// across iterations, which is what makes the chain plannable. The
+    /// batched routes build one-sample chains with it.
     ///
     /// # Panics
     ///
@@ -698,32 +516,14 @@ impl<S: Scalar> VanillaRnn<S> {
         chain
     }
 
-    /// Accumulates parameter gradients across the batch from the fused
-    /// scan's per-timestep hidden-state gradients (Equation 2).
-    fn accumulate_batched_grads(
-        &self,
-        batch: &[RnnBatchSample<'_, S>],
-        result: &bppsa_core::BackwardResult<S>,
-    ) -> RnnGrads<S> {
-        let mut grads = RnnGrads::zeros(self.input_dim, self.hidden_size(), self.num_classes());
-        for (k, (bits, states, _, g_logits)) in batch.iter().enumerate() {
-            // ∇h_t for sample k is block k of the concatenated gradient.
-            self.accumulate_sample_grads(bits, states, g_logits, result, k, &mut grads);
-        }
-        grads
-    }
-
     /// Adds one sample's parameter gradients (Equation 2) into `grads`,
-    /// reading `∇h_t` from block `block` of `result`'s (possibly
-    /// concatenated) per-timestep gradients — block `k` of a fused
-    /// mini-batch result, block `0` of a per-sample result.
+    /// reading `∇h_t` from the sample's scan result.
     fn accumulate_sample_grads(
         &self,
         bits: &[S],
         states: &RnnStates<S>,
         g_logits: &Vector<S>,
         result: &bppsa_core::BackwardResult<S>,
-        block: usize,
         grads: &mut RnnGrads<S>,
     ) {
         let h_dim = self.hidden_size();
@@ -732,8 +532,8 @@ impl<S: Scalar> VanillaRnn<S> {
             .axpy(S::ONE, &g_logits.outer(states.last().expect("nonempty")));
         grads.d_bout.axpy(S::ONE, g_logits);
         for (t, h_t) in states.iter().enumerate() {
-            let g_all = result.grad_x(t + 1);
-            let g_h = &g_all.as_slice()[block * h_dim..(block + 1) * h_dim];
+            // grads()[i] = ∇x_{i+1} where x_{i+1} = h_i → ∇h_t = grad_x(t+1).
+            let g_h = result.grad_x(t + 1);
             let g_z = Vector::from_fn(h_dim, |i| (S::ONE - h_t[i] * h_t[i]) * g_h[i]);
             for i in 0..h_dim {
                 let v = grads.d_wih.get(i, 0) + g_z[i] * bits[t];
@@ -905,15 +705,16 @@ mod tests {
 
     #[test]
     fn bppsa_threaded_and_hybrid_agree() {
+        // The pooled executor runs each level on the pool's worker threads.
         let rnn = tiny_rnn(9);
         let xs = bits(25, 10);
         let states = rnn.forward(&xs);
         let (_, seed, g_logits) = rnn.loss_and_seed(&states, 0);
         let reference = rnn.backward_bptt(&xs, &states, &seed, &g_logits);
         for opts in [
-            BppsaOptions::threaded(4),
+            BppsaOptions::pooled(),
             BppsaOptions::serial().hybrid(2),
-            BppsaOptions::threaded(2).hybrid(3),
+            BppsaOptions::pooled().hybrid(3),
         ] {
             let scan = rnn.backward_bppsa(&xs, &states, &seed, &g_logits, opts);
             assert!(reference.max_abs_diff(&scan) < 1e-10);
@@ -922,10 +723,12 @@ mod tests {
 
     #[test]
     fn batched_scan_equals_per_sample_sum() {
+        // The segmented pooled route: each sample's scan is split into two
+        // concurrent segments, and the batch sum still equals the sum of
+        // per-sample backward passes.
         let rnn = tiny_rnn(31);
-        let t = 9;
+        let t = 40;
         let all_bits: Vec<Vec<f64>> = (0..4).map(|k| bits(t, 32 + k)).collect();
-        let mut batch = Vec::new();
         let mut expected = None::<RnnGrads<f64>>;
         let mut stored = Vec::new();
         for (k, xs) in all_bits.iter().enumerate() {
@@ -938,24 +741,21 @@ mod tests {
             }
             stored.push((states, seed, g_logits));
         }
-        for (xs, (states, seed, g_logits)) in all_bits.iter().zip(&stored) {
-            batch.push((xs.as_slice(), states, seed.clone(), g_logits.clone()));
-        }
-        let batched = rnn.backward_bppsa_batched(&batch, BppsaOptions::serial());
+        let batch: Vec<RnnBatchSample<'_, f64>> = all_bits
+            .iter()
+            .zip(&stored)
+            .map(|(xs, (states, seed, g))| (xs.as_slice(), states, seed.clone(), g.clone()))
+            .collect();
         let expected = expected.unwrap();
-        let diff = batched.max_abs_diff(&expected);
-        assert!(diff < 1e-10, "diff {diff}");
-
-        // The planned/workspace-backed path agrees too, and plans once
-        // across repeated executions.
-        let mut state = FusedPlannedState::new();
+        let mut state = PooledChainSet::new();
         for round in 0..3 {
-            let planned =
-                rnn.backward_bppsa_batched_planned(&batch, BppsaOptions::serial(), &mut state);
-            let diff = planned.max_abs_diff(&expected);
+            let segmented =
+                rnn.backward_bppsa_pooled(&batch, BppsaOptions::pooled().segmented(2), &mut state);
+            let diff = segmented.max_abs_diff(&expected);
             assert!(diff < 1e-10, "round {round}: diff {diff}");
         }
         assert_eq!(state.plans_built(), 1);
+        assert_eq!(state.plan().expect("planned").segments(), 2);
     }
 
     #[test]
@@ -1044,7 +844,7 @@ mod tests {
         assert_eq!(state.plans_built(), 1);
 
         // A smaller "remainder" batch reuses the same plan (same per-sample
-        // shape) — the pooled path's advantage over the fused one.
+        // shape).
         let remainder = rnn.backward_bppsa_pooled(&batch[..2], BppsaOptions::serial(), &mut state);
         assert_eq!(state.plans_built(), 1);
         let mut expected2 = rnn.backward_bppsa(
@@ -1078,7 +878,8 @@ mod tests {
             (xs1.as_slice(), &s1, seed1, g1),
             (xs2.as_slice(), &s2, seed2, g2),
         ];
-        let _ = rnn.backward_bppsa_batched(&batch, BppsaOptions::serial());
+        let _ =
+            rnn.backward_bppsa_pooled(&batch, BppsaOptions::serial(), &mut PooledChainSet::new());
     }
 
     #[test]

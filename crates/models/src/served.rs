@@ -83,7 +83,7 @@ impl std::error::Error for ServedSubmitError {}
 /// counterpart of [`PooledChainSet`](crate::PooledChainSet).
 ///
 /// Owned by a training loop (inside
-/// [`FusedPlannedState`](crate::FusedPlannedState)); models call
+/// [`RecurrentTrainState`](crate::RecurrentTrainState)); models call
 /// [`ServedChainSet::ensure`] with their chain shape each iteration,
 /// refresh chain *values* in place via [`ServedChainSet::for_each_chain_mut`],
 /// and submit-and-collect with [`ServedChainSet::execute`]. The chains are

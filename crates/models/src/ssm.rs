@@ -16,9 +16,6 @@
 //! Backward paths mirror [`VanillaRnn`](crate::VanillaRnn):
 //! [`DiagonalSsm::backward_sequential`] (the BPTT baseline),
 //! [`DiagonalSsm::backward_bppsa`] (per-sample scan),
-//! [`DiagonalSsm::backward_bppsa_fused`] (one mini-batch-wide scan — a
-//! block-diagonal of diagonals is just a wider diagonal, so the fused
-//! chain *stays on the fast path*),
 //! [`DiagonalSsm::backward_bppsa_pooled`] (per-sample chains over the
 //! workspace pool) and [`DiagonalSsm::backward_bppsa_served`] (the
 //! `bppsa-serve` front door). Training routes through
@@ -27,9 +24,7 @@
 
 use crate::pooled::PooledChainSet;
 use crate::served::{ServedChainSet, ServedSubmitError};
-use bppsa_core::{
-    bppsa_backward, BackwardResult, BppsaOptions, JacobianChain, PlannedScan, ScanElement,
-};
+use bppsa_core::{bppsa_backward, BackwardResult, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_sparse::Csr;
 use bppsa_tensor::{init, Matrix, Scalar, Vector};
@@ -152,54 +147,6 @@ impl<S: Scalar> SsmGrads<S> {
     }
 }
 
-/// Persistent batched-backward state for one SSM training loop: the pooled
-/// per-sample chain set and the served front-door state (the SSM analogue
-/// of [`FusedPlannedState`](crate::FusedPlannedState); the fused path
-/// re-plans per call because diagonal plans are symbolic-product-free and
-/// cheap to build).
-#[derive(Debug, Default)]
-pub struct SsmTrainState<S> {
-    pooled: PooledChainSet<S>,
-    served: ServedChainSet<S>,
-}
-
-impl<S: Scalar> SsmTrainState<S> {
-    /// An empty state (builds chains/plans/lanes on first use).
-    pub fn new() -> Self {
-        Self {
-            pooled: PooledChainSet::new(),
-            served: ServedChainSet::new(),
-        }
-    }
-
-    /// The pooled per-sample chain set.
-    pub fn pooled_mut(&mut self) -> &mut PooledChainSet<S> {
-        &mut self.pooled
-    }
-
-    /// The pooled chain set, shared.
-    pub fn pooled(&self) -> &PooledChainSet<S> {
-        &self.pooled
-    }
-
-    /// The served per-sample chain set.
-    pub fn served_mut(&mut self) -> &mut ServedChainSet<S> {
-        &mut self.served
-    }
-
-    /// How many pooled plans have been built — stays at `1` for a whole
-    /// steady-shape run (per-sample chain shape is batch-size independent).
-    pub fn pooled_plans_built(&self) -> usize {
-        self.pooled.plans_built()
-    }
-
-    /// How many service lanes the served path has built — stays at `1` for
-    /// a whole steady-shape run.
-    pub fn served_lanes_built(&self) -> usize {
-        self.served.lanes_built()
-    }
-}
-
 impl<S: Scalar> DiagonalSsm<S> {
     /// Creates an SSM with uniform decay/gate/injection parameters and a
     /// Kaiming-uniform readout.
@@ -281,8 +228,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         chain
     }
 
-    /// One timestep's parameter contributions from `∇h_t` (a slice so the
-    /// fused path can pass one sample's lanes of a wide batched gradient):
+    /// One timestep's parameter contributions from `∇h_t`:
     /// `∇u += ∇h_t·x_t`, and through `a_t = tanh(z_t)` with
     /// `∂h_t/∂a_t = h_{t−1}` (zero at `t = 0`): `∇λ += ∇h_t ⊙ h_{t−1} ⊙
     /// (1 − a_t²)` and `∇g += x_t·` the same.
@@ -309,24 +255,20 @@ impl<S: Scalar> DiagonalSsm<S> {
         }
     }
 
-    /// Accumulates one sample's parameter gradients from a scan result
-    /// whose lanes `[offset, offset + hidden)` carry this sample's `∇h_t`.
+    /// Accumulates one sample's parameter gradients from its scan result.
     fn accumulate_sample_grads(
         &self,
         xs: &[S],
         states: &SsmStates<S>,
         g_logits: &Vector<S>,
         result: &BackwardResult<S>,
-        offset: usize,
         grads: &mut SsmGrads<S>,
     ) {
-        let h_dim = self.hidden_size();
         grads.d_wout.axpy(S::ONE, &g_logits.outer(states.last_h()));
         grads.d_bout.axpy(S::ONE, g_logits);
         for (t, &x) in xs.iter().enumerate() {
             // grads()[i] = ∇x_{i+1} where x_{i+1} = h_i → ∇h_t = grad_x(t+1).
-            let g_h = &result.grad_x(t + 1).as_slice()[offset..offset + h_dim];
-            self.accumulate_step(t, x, states, g_h, grads);
+            self.accumulate_step(t, x, states, result.grad_x(t + 1).as_slice(), grads);
         }
     }
 
@@ -380,63 +322,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         let chain = self.build_chain(states, seed);
         let result = bppsa_backward(&chain, opts);
         let mut grads = SsmGrads::zeros(self.hidden_size(), self.num_classes());
-        self.accumulate_sample_grads(xs, states, g_logits, &result, 0, &mut grads);
-        grads
-    }
-
-    /// Fused batched BPPSA: the whole mini-batch enters **one** scan.
-    /// Because a block-diagonal of diagonal matrices is itself diagonal,
-    /// the fused chain is simply `B·hidden` lanes wide and *stays on the
-    /// elementwise fast path* — unlike the RNN, where fusing trades the
-    /// per-sample structure for block-diagonal CSR products. The plan is
-    /// rebuilt per call: diagonal planning is symbolic-product-free
-    /// (`O(T)` bookkeeping), so there is no §3.3 hoisting to amortize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn backward_bppsa_fused(
-        &self,
-        batch: &[SsmBatchSample<'_, S>],
-        opts: BppsaOptions,
-    ) -> SsmGrads<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(xs, states, _, _)| states.len() == t_len && xs.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        let width = batch.len() * h_dim;
-        let pattern = Csr::from_diagonal(&vec![S::ONE; width]).pattern();
-        let mut seed = Vector::zeros(width);
-        for (k, (_, _, s, _)) in batch.iter().enumerate() {
-            seed.as_mut_slice()[k * h_dim..(k + 1) * h_dim].copy_from_slice(s.as_slice());
-        }
-        let mut chain = JacobianChain::new(seed);
-        let mut diag = vec![S::ZERO; width];
-        for t in 0..t_len {
-            for (k, (_, states, _, _)) in batch.iter().enumerate() {
-                diag[k * h_dim..(k + 1) * h_dim].copy_from_slice(states.a[t].as_slice());
-            }
-            chain.push(ScanElement::Sparse(Csr::from_pattern_and_values(
-                pattern.clone(),
-                diag.clone(),
-            )));
-        }
-        let result = PlannedScan::plan(&chain, opts).execute(&chain);
-        // Per-sample partials summed in batch order: the same association
-        // as summing per-sample backward passes, so the fused result is
-        // bit-for-bit with that sum (the linear kernel runs each fused
-        // lane through the identical expression tree).
-        let mut grads = SsmGrads::zeros(h_dim, self.num_classes());
-        for (k, (xs, states, _, g_logits)) in batch.iter().enumerate() {
-            let mut partial = SsmGrads::zeros(h_dim, self.num_classes());
-            self.accumulate_sample_grads(xs, states, g_logits, &result, k * h_dim, &mut partial);
-            grads.accumulate(&partial);
-        }
+        self.accumulate_sample_grads(xs, states, g_logits, &result, &mut grads);
         grads
     }
 
@@ -489,7 +375,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         state.execute(batch.len(), &|k, result| {
             let (xs, states, _, g_logits) = &batch[k];
             let mut partial = SsmGrads::zeros(h_dim, self.num_classes());
-            self.accumulate_sample_grads(xs, states, g_logits, result, 0, &mut partial);
+            self.accumulate_sample_grads(xs, states, g_logits, result, &mut partial);
             grads
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -553,7 +439,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         state.execute(batch.len(), &mut |k, result| {
             let (xs, states, _, g_logits) = &batch[k];
             let mut partial = SsmGrads::zeros(h_dim, self.num_classes());
-            self.accumulate_sample_grads(xs, states, g_logits, result, 0, &mut partial);
+            self.accumulate_sample_grads(xs, states, g_logits, result, &mut partial);
             grads.accumulate(&partial);
         })?;
         Ok(grads)
@@ -595,7 +481,8 @@ impl<S: Scalar> DiagonalSsm<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bppsa_core::{DiagonalKernel, DiagonalMode};
+    use crate::train::RecurrentTrainState;
+    use bppsa_core::{DiagonalKernel, DiagonalMode, PlannedScan};
     use bppsa_tensor::init::seeded_rng;
 
     fn sample_inputs(rng: &mut StdRng, t: usize) -> Vec<f64> {
@@ -700,45 +587,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_is_one_wide_diagonal_scan() {
-        let rng = &mut seeded_rng(4);
-        let ssm = DiagonalSsm::<f64>::new(7, 3, rng);
-        let raw: Vec<RawSample> = (0..3)
-            .map(|k| {
-                let xs = sample_inputs(rng, 29);
-                let states = ssm.forward(&xs);
-                let (_, seed, g_logits) = ssm.loss_and_seed(&states, k);
-                (xs, states, seed, g_logits)
-            })
-            .collect();
-        let batch: Vec<SsmBatchSample<'_, f64>> = raw
-            .iter()
-            .map(|(xs, st, s, g)| (xs.as_slice(), st, s.clone(), g.clone()))
-            .collect();
-        // The 3·7-lane fused chain still plans to the elementwise program.
-        let fused = ssm.backward_bppsa_fused(&batch, BppsaOptions::serial());
-        // Reference: per-sample scans summed in batch order — the linear
-        // kernel runs each fused lane through the identical expression
-        // tree, so the match is bit-for-bit.
-        let mut reference: Option<SsmGrads<f64>> = None;
-        for (xs, states, seed, g_logits) in &raw {
-            let g = ssm.backward_bppsa(xs, states, seed, g_logits, BppsaOptions::serial());
-            match &mut reference {
-                None => reference = Some(g),
-                Some(acc) => acc.accumulate(&g),
-            }
-        }
-        let reference = reference.unwrap();
-        for (a, b) in fused.flat().iter().zip(&reference.flat()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a:e} vs {b:e}");
-        }
-    }
-
-    #[test]
     fn pooled_and_served_batches_match_the_per_sample_sum() {
         let rng = &mut seeded_rng(5);
         let ssm = DiagonalSsm::<f64>::new(9, 4, rng);
-        let mut state = SsmTrainState::new();
+        let mut state = RecurrentTrainState::new();
         for round in 0..2 {
             let raw: Vec<RawSample> = (0..4)
                 .map(|k| {
@@ -763,7 +615,7 @@ mod tests {
             let reference = reference.unwrap();
 
             let pooled =
-                ssm.backward_bppsa_pooled(&batch, BppsaOptions::serial(), state.pooled_mut());
+                ssm.backward_bppsa_pooled(&batch, BppsaOptions::serial(), &mut state.pooled);
             // Pooled sums stream in completion order — same addends,
             // possibly reassociated.
             let diff = pooled.max_abs_diff(&reference);
@@ -772,7 +624,7 @@ mod tests {
             // Served consumption is sequential in batch order: bit-for-bit
             // with the reference sum.
             let served = ssm
-                .backward_bppsa_served(&batch, state.served_mut())
+                .backward_bppsa_served(&batch, &mut state.served)
                 .expect("owned service accepts");
             for (a, b) in served.flat().iter().zip(&reference.flat()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {a:e} vs {b:e}");
@@ -780,10 +632,10 @@ mod tests {
         }
         // One shape, one plan, one lane — and the pooled plan took the
         // fast path under the default options.
-        assert_eq!(state.pooled_plans_built(), 1);
-        assert_eq!(state.served_lanes_built(), 1);
+        assert_eq!(state.pooled.plans_built(), 1);
+        assert_eq!(state.served.lanes_built(), 1);
         assert!(state
-            .pooled()
+            .pooled
             .plan()
             .expect("planned")
             .diagonal_kernel()

@@ -6,8 +6,10 @@
 
 use crate::datasets::{BitstreamDataset, SyntheticCifar};
 use crate::optim::Optimizer;
-use crate::rnn::{FusedPlannedState, RnnGrads, VanillaRnn};
-use crate::ssm::{DiagonalSsm, SsmGrads, SsmTrainState};
+use crate::pooled::PooledChainSet;
+use crate::rnn::{RnnBatchSample, RnnGrads, VanillaRnn};
+use crate::served::ServedChainSet;
+use crate::ssm::{DiagonalSsm, SsmBatchSample, SsmGrads};
 use bppsa_core::{BppsaOptions, JacobianRepr, Network};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_tensor::Scalar;
@@ -25,34 +27,17 @@ pub enum BackwardMethod {
         /// Jacobian representation.
         repr: JacobianRepr,
     },
-    /// Batched BPPSA for recurrent loops: the whole mini-batch enters a
-    /// single scan over block-diagonal Jacobians
-    /// ([`VanillaRnn::backward_bppsa_batched`]). Ignored (treated as
-    /// [`BackwardMethod::Bppsa`]) by feed-forward training loops.
-    BppsaFused {
-        /// Scan execution options.
-        opts: BppsaOptions,
-    },
-    /// Batched BPPSA through persistent [`FusedPlannedState`]: the fused
-    /// mini-batch scan is symbolically planned once per batch shape (§3.3
-    /// hoisting over the whole training run) and every iteration refreshes
-    /// the reused chain in place and re-executes the numeric-only program
-    /// over a reused, allocation-free workspace
-    /// ([`VanillaRnn::backward_bppsa_batched_planned`]). Ignored (treated
-    /// as [`BackwardMethod::Bppsa`]) by feed-forward training loops.
-    BppsaFusedPlanned {
-        /// Scan execution options.
-        opts: BppsaOptions,
-    },
     /// Pooled batched BPPSA for recurrent loops: one **per-sample** chain
     /// each, all executing a single compiled plan concurrently over a
     /// workspace pool ([`VanillaRnn::backward_bppsa_pooled`]); per-sample
     /// gradients are accumulated into the batch update. Valid because the
-    /// optimizer consumes the batch sum. Ignored (treated as
+    /// optimizer consumes the batch sum. The plan is built once per run
+    /// and kept in the loop's [`RecurrentTrainState`]. Ignored (treated as
     /// [`BackwardMethod::Bppsa`]) by feed-forward training loops.
     BppsaPooled {
-        /// Scan schedule options (the executor is always the batch
-        /// fan-out; `opts.up_levels` still selects full vs. hybrid).
+        /// Plan options: `opts.up_levels` selects full vs. hybrid,
+        /// `opts.segments > 1` splits each sample's scan into concurrent
+        /// segments. The executor is always the per-sample fan-out.
         opts: BppsaOptions,
     },
     /// The pooled strategy routed through the `bppsa-serve` front door:
@@ -67,33 +52,12 @@ pub enum BackwardMethod {
 }
 
 impl BackwardMethod {
-    /// BPPSA with sparse Jacobians and `threads` scan workers (spawned per
-    /// level; prefer [`BackwardMethod::bppsa_pooled`] for training loops).
-    pub fn bppsa_threaded(threads: usize) -> Self {
-        BackwardMethod::Bppsa {
-            opts: BppsaOptions::threaded(threads),
-            repr: JacobianRepr::Sparse,
-        }
-    }
-
     /// BPPSA with sparse Jacobians on the persistent worker pool.
     pub fn bppsa_pooled() -> Self {
         BackwardMethod::Bppsa {
             opts: BppsaOptions::pooled(),
             repr: JacobianRepr::Sparse,
         }
-    }
-
-    /// Fused batched BPPSA (RNN loops only): one block-diagonal scan per
-    /// mini-batch instead of one scan per sample.
-    pub fn bppsa_fused(opts: BppsaOptions) -> Self {
-        BackwardMethod::BppsaFused { opts }
-    }
-
-    /// Fused batched BPPSA with plan-once/execute-many workspace reuse (RNN
-    /// loops only) — the steady-state fast path for training.
-    pub fn bppsa_fused_planned(opts: BppsaOptions) -> Self {
-        BackwardMethod::BppsaFusedPlanned { opts }
     }
 
     /// Pooled batched BPPSA (RNN loops only): per-sample scans of one
@@ -108,14 +72,37 @@ impl BackwardMethod {
         BackwardMethod::BppsaServed
     }
 
-    /// Segment-parallel fused planned BPPSA for deep chains (RNN loops
-    /// only): the compiled plan is split into `k` exact segments executed
-    /// concurrently on worker groups carved from the pool, stitched at
-    /// schedule-block interfaces — bit-for-bit identical to the
-    /// unsegmented plan.
+    /// Segment-parallel pooled batched BPPSA for deep chains with fewer
+    /// samples than workers (RNN loops only): each sample's compiled plan
+    /// is split into `k` exact segments executed concurrently on worker
+    /// groups carved from the pool, stitched at schedule-block interfaces —
+    /// bit-for-bit identical to the unsegmented plan of the same schedule.
     pub fn bppsa_segmented(k: usize) -> Self {
-        BackwardMethod::BppsaFusedPlanned {
+        BackwardMethod::BppsaPooled {
             opts: BppsaOptions::pooled().segmented(k),
+        }
+    }
+}
+
+/// Persistent batched-backward state for one recurrent training loop
+/// ([`train_rnn`], [`train_ssm`]): the chain set of
+/// [`BackwardMethod::BppsaPooled`] and the front-door state of
+/// [`BackwardMethod::BppsaServed`]. Both build their plan (or service lane)
+/// on first use and keep it for the whole run.
+#[derive(Debug, Default)]
+pub struct RecurrentTrainState<S> {
+    /// Per-sample chains and plan of the pooled route.
+    pub pooled: PooledChainSet<S>,
+    /// Per-sample chains and service of the served route.
+    pub served: ServedChainSet<S>,
+}
+
+impl<S: Scalar> RecurrentTrainState<S> {
+    /// An empty state (builds chains, plans and lanes on first use).
+    pub fn new() -> Self {
+        Self {
+            pooled: PooledChainSet::new(),
+            served: ServedChainSet::new(),
         }
     }
 }
@@ -205,9 +192,7 @@ pub fn network_batch_step<S: Scalar>(
         let grads = match method {
             BackwardMethod::Bp => net.backward_bp(&tape, &seed),
             BackwardMethod::Bppsa { opts, repr } => net.backward_bppsa(&tape, &seed, repr, opts),
-            BackwardMethod::BppsaFused { opts }
-            | BackwardMethod::BppsaFusedPlanned { opts }
-            | BackwardMethod::BppsaPooled { opts } => {
+            BackwardMethod::BppsaPooled { opts } => {
                 net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, opts)
             }
             BackwardMethod::BppsaServed => {
@@ -301,116 +286,83 @@ pub fn evaluate_network<S: Scalar>(net: &Network<S>, data: &SyntheticCifar<S>) -
 /// backward seconds)`; seeds are pre-scaled by `1/B` so the sum is the
 /// batch-mean gradient.
 ///
-/// For [`BackwardMethod::BppsaFusedPlanned`] the plan/workspace state lives
-/// only for this call; training loops should use
-/// [`rnn_batch_step_cached`] so the plan amortizes across iterations.
+/// For the batched routes the plan (or service lane) lives only for this
+/// call; training loops should use [`rnn_batch_step_cached`] so it
+/// amortizes across iterations.
 pub fn rnn_batch_step<S: Scalar>(
     rnn: &VanillaRnn<S>,
     data: &BitstreamDataset<S>,
     indices: std::ops::Range<usize>,
     method: BackwardMethod,
 ) -> (f64, RnnGrads<S>, f64) {
-    let mut state = FusedPlannedState::new();
+    let mut state = RecurrentTrainState::new();
     rnn_batch_step_cached(rnn, data, indices, method, &mut state)
 }
 
-/// [`rnn_batch_step`] with caller-owned [`FusedPlannedState`], so the
-/// fused-planned backward re-plans (and re-builds its chain) only when the
-/// mini-batch shape changes.
+/// [`rnn_batch_step`] with caller-owned [`RecurrentTrainState`], so the
+/// batched routes plan (and build their chains) once per run.
 pub fn rnn_batch_step_cached<S: Scalar>(
     rnn: &VanillaRnn<S>,
     data: &BitstreamDataset<S>,
     indices: std::ops::Range<usize>,
     method: BackwardMethod,
-    state: &mut FusedPlannedState<S>,
+    state: &mut RecurrentTrainState<S>,
 ) -> (f64, RnnGrads<S>, f64) {
     assert!(!indices.is_empty(), "empty batch");
     let inv_b = S::ONE / S::from_usize(indices.len());
-    if matches!(
-        method,
-        BackwardMethod::BppsaFused { .. }
-            | BackwardMethod::BppsaFusedPlanned { .. }
-            | BackwardMethod::BppsaPooled { .. }
-            | BackwardMethod::BppsaServed
-    ) {
-        // One scan pass for the whole mini-batch: fused block-diagonal, or
-        // per-sample chains fanned over pooled workspaces.
-        let mut total_loss = S::ZERO;
-        let mut prepared = Vec::with_capacity(indices.len());
-        for i in indices {
-            let sample = data.sample(i);
-            let states = rnn.forward(&sample.bits);
-            let (loss, seed, g_logits) = rnn.loss_and_seed(&states, sample.label);
+    let samples: Vec<_> = indices.map(|i| data.sample(i)).collect();
+    let states: Vec<_> = samples.iter().map(|s| rnn.forward(&s.bits)).collect();
+    let mut total_loss = S::ZERO;
+    let batch: Vec<RnnBatchSample<'_, S>> = samples
+        .iter()
+        .zip(&states)
+        .map(|(sample, states)| {
+            let (loss, seed, g_logits) = rnn.loss_and_seed(states, sample.label);
             total_loss += loss;
-            prepared.push((
+            (
                 sample.bits.as_slice(),
                 states,
                 seed.scaled(inv_b),
                 g_logits.scaled(inv_b),
-            ));
+            )
+        })
+        .collect();
+    let t0 = Instant::now();
+    let grads = match method {
+        BackwardMethod::Bp => sum_grads(
+            batch
+                .iter()
+                .map(|(bits, states, seed, g)| rnn.backward_bptt(bits, states, seed, g)),
+            RnnGrads::accumulate,
+        ),
+        BackwardMethod::Bppsa { opts, .. } => sum_grads(
+            batch
+                .iter()
+                .map(|(bits, states, seed, g)| rnn.backward_bppsa(bits, states, seed, g, opts)),
+            RnnGrads::accumulate,
+        ),
+        BackwardMethod::BppsaPooled { opts } => {
+            rnn.backward_bppsa_pooled(&batch, opts, &mut state.pooled)
         }
-        let batch: Vec<crate::rnn::RnnBatchSample<'_, S>> = prepared
-            .iter()
-            .map(|(bits, states, seed, g)| (*bits, states, seed.clone(), g.clone()))
-            .collect();
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::BppsaFusedPlanned { opts } => {
-                rnn.backward_bppsa_batched_planned(&batch, opts, state)
-            }
-            BackwardMethod::BppsaPooled { opts } => {
-                rnn.backward_bppsa_pooled(&batch, opts, state.pooled_mut())
-            }
-            // The training loop owns its service (default config: no
-            // shedding, no breaker), so a sticky refusal here is fatal —
-            // but the typed error lets shared-service callers of the same
-            // API decide differently.
-            BackwardMethod::BppsaServed => rnn
-                .backward_bppsa_served(&batch, state.served_mut())
-                .unwrap_or_else(|e| panic!("served training backward: {e}")),
-            BackwardMethod::BppsaFused { opts } => rnn.backward_bppsa_batched(&batch, opts),
-            _ => unreachable!("guarded by the matches! above"),
-        };
-        let backward_s = t0.elapsed().as_secs_f64();
-        return ((total_loss * inv_b).to_f64(), grads, backward_s);
+        // The training loop owns its service (default config: no
+        // shedding, no breaker), so a sticky refusal here is fatal — but
+        // the typed error lets shared-service callers of the same API
+        // decide differently.
+        BackwardMethod::BppsaServed => rnn
+            .backward_bppsa_served(&batch, &mut state.served)
+            .unwrap_or_else(|e| panic!("served training backward: {e}")),
+    };
+    let backward_s = t0.elapsed().as_secs_f64();
+    ((total_loss * inv_b).to_f64(), grads, backward_s)
+}
+
+/// Sums per-sample gradients in batch order.
+fn sum_grads<G>(mut grads: impl Iterator<Item = G>, add: impl Fn(&mut G, &G)) -> G {
+    let mut acc = grads.next().expect("nonempty batch");
+    for g in grads {
+        add(&mut acc, &g);
     }
-    let mut total_loss = S::ZERO;
-    let mut accumulated: Option<RnnGrads<S>> = None;
-    let mut backward_s = 0.0;
-
-    for i in indices {
-        let sample = data.sample(i);
-        let states = rnn.forward(&sample.bits);
-        let (loss, seed, g_logits) = rnn.loss_and_seed(&states, sample.label);
-        total_loss += loss;
-        let seed = seed.scaled(inv_b);
-        let g_logits = g_logits.scaled(inv_b);
-
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::Bp => rnn.backward_bptt(&sample.bits, &states, &seed, &g_logits),
-            BackwardMethod::Bppsa { opts, .. } => {
-                rnn.backward_bppsa(&sample.bits, &states, &seed, &g_logits, opts)
-            }
-            BackwardMethod::BppsaFused { .. }
-            | BackwardMethod::BppsaFusedPlanned { .. }
-            | BackwardMethod::BppsaPooled { .. }
-            | BackwardMethod::BppsaServed => {
-                unreachable!("handled above")
-            }
-        };
-        backward_s += t0.elapsed().as_secs_f64();
-
-        match &mut accumulated {
-            None => accumulated = Some(grads),
-            Some(acc) => acc.accumulate(&grads),
-        }
-    }
-    (
-        (total_loss * inv_b).to_f64(),
-        accumulated.expect("nonempty batch"),
-        backward_s,
-    )
+    acc
 }
 
 /// Trains the RNN on the bitstream task with a flat-parameter optimizer
@@ -427,9 +379,9 @@ pub fn train_rnn<S: Scalar>(
     let mut log = TrainLog::default();
     let start = Instant::now();
     let mut iteration = 0usize;
-    // One chain/plan/workspace state for the whole run: the fused-planned
-    // path performs its symbolic work once per mini-batch shape.
-    let mut state = FusedPlannedState::new();
+    // One chain/plan/workspace state for the whole run: the batched routes
+    // perform their symbolic work once.
+    let mut state = RecurrentTrainState::new();
     'outer: for _epoch in 0..epochs {
         for range in data.batches(batch_size).collect::<Vec<_>>() {
             let (loss, grads, backward_s) =
@@ -477,11 +429,6 @@ pub fn evaluate_rnn<S: Scalar>(rnn: &VanillaRnn<S>, data: &BitstreamDataset<S>) 
 ///
 /// * [`BackwardMethod::Bp`] → [`DiagonalSsm::backward_sequential`];
 /// * [`BackwardMethod::Bppsa`] → per-sample [`DiagonalSsm::backward_bppsa`];
-/// * [`BackwardMethod::BppsaFused`] / [`BackwardMethod::BppsaFusedPlanned`]
-///   → [`DiagonalSsm::backward_bppsa_fused`] (a block-diagonal of
-///   diagonals is a wider diagonal, so the fused chain plans elementwise
-///   too; diagonal plans are cheap enough to rebuild per call, so both
-///   variants share one implementation);
 /// * [`BackwardMethod::BppsaPooled`] → [`DiagonalSsm::backward_bppsa_pooled`];
 /// * [`BackwardMethod::BppsaServed`] → [`DiagonalSsm::backward_bppsa_served`]
 ///   (the loop owns its service, so a sticky refusal is fatal here).
@@ -490,80 +437,50 @@ pub fn ssm_batch_step<S: Scalar>(
     data: &BitstreamDataset<S>,
     indices: std::ops::Range<usize>,
     method: BackwardMethod,
-    state: &mut SsmTrainState<S>,
+    state: &mut RecurrentTrainState<S>,
 ) -> (f64, SsmGrads<S>, f64) {
     assert!(!indices.is_empty(), "empty batch");
     let inv_b = S::ONE / S::from_usize(indices.len());
-    if matches!(
-        method,
-        BackwardMethod::BppsaFused { .. }
-            | BackwardMethod::BppsaFusedPlanned { .. }
-            | BackwardMethod::BppsaPooled { .. }
-            | BackwardMethod::BppsaServed
-    ) {
-        let mut total_loss = S::ZERO;
-        let mut prepared = Vec::with_capacity(indices.len());
-        for i in indices {
-            let sample = data.sample(i);
-            let states = ssm.forward(&sample.bits);
-            let (loss, seed, g_logits) = ssm.loss_and_seed(&states, sample.label);
+    let samples: Vec<_> = indices.map(|i| data.sample(i)).collect();
+    let states: Vec<_> = samples.iter().map(|s| ssm.forward(&s.bits)).collect();
+    let mut total_loss = S::ZERO;
+    let batch: Vec<SsmBatchSample<'_, S>> = samples
+        .iter()
+        .zip(&states)
+        .map(|(sample, states)| {
+            let (loss, seed, g_logits) = ssm.loss_and_seed(states, sample.label);
             total_loss += loss;
-            prepared.push((
+            (
                 sample.bits.as_slice(),
                 states,
                 seed.scaled(inv_b),
                 g_logits.scaled(inv_b),
-            ));
+            )
+        })
+        .collect();
+    let t0 = Instant::now();
+    let grads = match method {
+        BackwardMethod::Bp => sum_grads(
+            batch
+                .iter()
+                .map(|(xs, states, seed, g)| ssm.backward_sequential(xs, states, seed, g)),
+            SsmGrads::accumulate,
+        ),
+        BackwardMethod::Bppsa { opts, .. } => sum_grads(
+            batch
+                .iter()
+                .map(|(xs, states, seed, g)| ssm.backward_bppsa(xs, states, seed, g, opts)),
+            SsmGrads::accumulate,
+        ),
+        BackwardMethod::BppsaPooled { opts } => {
+            ssm.backward_bppsa_pooled(&batch, opts, &mut state.pooled)
         }
-        let batch: Vec<crate::ssm::SsmBatchSample<'_, S>> = prepared
-            .iter()
-            .map(|(xs, states, seed, g)| (*xs, states, seed.clone(), g.clone()))
-            .collect();
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::BppsaFused { opts } | BackwardMethod::BppsaFusedPlanned { opts } => {
-                ssm.backward_bppsa_fused(&batch, opts)
-            }
-            BackwardMethod::BppsaPooled { opts } => {
-                ssm.backward_bppsa_pooled(&batch, opts, state.pooled_mut())
-            }
-            BackwardMethod::BppsaServed => ssm
-                .backward_bppsa_served(&batch, state.served_mut())
-                .unwrap_or_else(|e| panic!("served SSM training backward: {e}")),
-            _ => unreachable!("guarded by the matches! above"),
-        };
-        let backward_s = t0.elapsed().as_secs_f64();
-        return ((total_loss * inv_b).to_f64(), grads, backward_s);
-    }
-    let mut total_loss = S::ZERO;
-    let mut accumulated: Option<SsmGrads<S>> = None;
-    let mut backward_s = 0.0;
-    for i in indices {
-        let sample = data.sample(i);
-        let states = ssm.forward(&sample.bits);
-        let (loss, seed, g_logits) = ssm.loss_and_seed(&states, sample.label);
-        total_loss += loss;
-        let seed = seed.scaled(inv_b);
-        let g_logits = g_logits.scaled(inv_b);
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::Bp => ssm.backward_sequential(&sample.bits, &states, &seed, &g_logits),
-            BackwardMethod::Bppsa { opts, .. } => {
-                ssm.backward_bppsa(&sample.bits, &states, &seed, &g_logits, opts)
-            }
-            _ => unreachable!("handled above"),
-        };
-        backward_s += t0.elapsed().as_secs_f64();
-        match &mut accumulated {
-            None => accumulated = Some(grads),
-            Some(acc) => acc.accumulate(&grads),
-        }
-    }
-    (
-        (total_loss * inv_b).to_f64(),
-        accumulated.expect("nonempty batch"),
-        backward_s,
-    )
+        BackwardMethod::BppsaServed => ssm
+            .backward_bppsa_served(&batch, &mut state.served)
+            .unwrap_or_else(|e| panic!("served SSM training backward: {e}")),
+    };
+    let backward_s = t0.elapsed().as_secs_f64();
+    ((total_loss * inv_b).to_f64(), grads, backward_s)
 }
 
 /// Trains the SSM on the bitstream task with a flat-parameter optimizer,
@@ -581,7 +498,7 @@ pub fn train_ssm<S: Scalar>(
     let mut log = TrainLog::default();
     let start = Instant::now();
     let mut iteration = 0usize;
-    let mut state = SsmTrainState::new();
+    let mut state = RecurrentTrainState::new();
     'outer: for _epoch in 0..epochs {
         for range in data.batches(batch_size).collect::<Vec<_>>() {
             let (loss, grads, backward_s) = ssm_batch_step(ssm, data, range, method, &mut state);
@@ -680,60 +597,15 @@ mod tests {
             train_rnn(&mut rnn, &data, &mut opt, method, 8, 4, None)
         };
         let bp = run(BackwardMethod::Bp);
-        let scan = run(BackwardMethod::bppsa_threaded(2));
+        let scan = run(BackwardMethod::bppsa_pooled());
         assert!(bp.max_loss_gap(&scan) < 1e-3);
-    }
-
-    #[test]
-    fn fused_batched_scan_training_matches_bptt() {
-        // One block-diagonal scan per mini-batch reproduces the per-sample
-        // trajectory exactly.
-        let data = BitstreamDataset::<f32>::generate(24, 12, 61);
-        let run = |method: BackwardMethod| {
-            let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(62));
-            let mut opt = Adam::new(0.005);
-            train_rnn(&mut rnn, &data, &mut opt, method, 6, 4, None)
-        };
-        let bptt = run(BackwardMethod::Bp);
-        let fused = run(BackwardMethod::bppsa_fused(BppsaOptions::serial()));
-        assert!(bptt.max_loss_gap(&fused) < 1e-3);
-    }
-
-    #[test]
-    fn fused_planned_training_matches_bptt_and_plans_once() {
-        // The workspace-backed steady-state path (Fig. 9 shape): identical
-        // trajectory to BPTT, with the symbolic phase hoisted out of the
-        // whole run.
-        let data = BitstreamDataset::<f32>::generate(24, 12, 77);
-        let run = |method: BackwardMethod| {
-            let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(78));
-            let mut opt = Adam::new(0.005);
-            train_rnn(&mut rnn, &data, &mut opt, method, 6, 4, None)
-        };
-        let bptt = run(BackwardMethod::Bp);
-        let planned = run(BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()));
-        assert!(bptt.max_loss_gap(&planned) < 1e-3);
-
-        // And the plan really is built once across a steady-shape run.
-        let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(79));
-        let mut state = FusedPlannedState::<f32>::new();
-        for _ in 0..3 {
-            let _ = rnn_batch_step_cached(
-                &rnn,
-                &data,
-                0..6,
-                BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
-                &mut state,
-            );
-        }
-        assert_eq!(state.plans_built(), 1);
     }
 
     #[test]
     fn segmented_training_matches_bptt_on_deep_chains() {
         // A longer unroll hands the segment stitcher real schedule blocks
         // to split; the trajectory must still track BPTT exactly as
-        // closely as the unsegmented planned path does.
+        // closely as the unsegmented pooled path does.
         let data = BitstreamDataset::<f32>::generate(12, 48, 83);
         let run = |method: BackwardMethod| {
             let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(84));
@@ -744,11 +616,71 @@ mod tests {
         let segmented = run(BackwardMethod::bppsa_segmented(2));
         assert!(bptt.max_loss_gap(&segmented) < 1e-3);
 
-        // The deep-chain route really requests a segmented pooled plan.
-        let BackwardMethod::BppsaFusedPlanned { opts } = BackwardMethod::bppsa_segmented(4) else {
+        // The deep-chain route plans a segmented pooled plan.
+        let method = BackwardMethod::bppsa_segmented(2);
+        let BackwardMethod::BppsaPooled { opts } = method else {
             unreachable!()
         };
-        assert_eq!(opts.segments, 4);
+        assert_eq!(opts.segments, 2);
+        let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(85));
+        let mut state = RecurrentTrainState::new();
+        let _ = rnn_batch_step_cached(&rnn, &data, 0..6, method, &mut state);
+        assert!(state.pooled.plan().expect("planned").segments() >= 2);
+
+        // Bit-for-bit with the unsegmented pooled plan of the same
+        // schedule: the segmented schedule's derived hybrid depth, planned
+        // with one segment.
+        let unsegmented = BppsaOptions::pooled().hybrid(opts.segmented_up_levels(48 + 1));
+        for b in [1usize, 3] {
+            let prepared: Vec<_> = (0..b)
+                .map(|i| {
+                    let sample = data.sample(i);
+                    let states = rnn.forward(&sample.bits);
+                    let (_, seed, g_logits) = rnn.loss_and_seed(&states, sample.label);
+                    (sample.bits.as_slice(), states, seed, g_logits)
+                })
+                .collect();
+            let batch: Vec<RnnBatchSample<'_, f32>> = prepared
+                .iter()
+                .map(|(bits, states, seed, g)| (*bits, states, seed.clone(), g.clone()))
+                .collect();
+            // Per-sample hidden-state gradients, collected by batch index
+            // (the summed parameter gradients depend on completion order
+            // once B > 1).
+            let scan = |opts: BppsaOptions| {
+                let mut set = PooledChainSet::new();
+                let params = rnn.backward_bppsa_pooled(&batch, opts, &mut set).flat();
+                let grads = std::sync::Mutex::new(vec![Vec::new(); b]);
+                set.execute(b, &|k, r| {
+                    let bits: Vec<u32> = r
+                        .grads()
+                        .iter()
+                        .flat_map(|g| g.iter().map(|v| v.to_bits()))
+                        .collect();
+                    grads.lock().unwrap()[k] = bits;
+                });
+                (
+                    params,
+                    grads.into_inner().unwrap(),
+                    set.plan().unwrap().segments(),
+                )
+            };
+            let (seg_params, seg_grads, segments) = scan(opts);
+            let (ref_params, ref_grads, ref_segments) = scan(unsegmented);
+            assert_eq!((segments, ref_segments), (2, 1), "B={b}");
+            assert_eq!(
+                seg_grads, ref_grads,
+                "B={b}: scan gradients must be bit-for-bit"
+            );
+            if b == 1 {
+                let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&seg_params),
+                    bits(&ref_params),
+                    "B=1 parameter gradients"
+                );
+            }
+        }
     }
 
     #[test]
@@ -767,14 +699,14 @@ mod tests {
         assert!(bptt.max_loss_gap(&pooled) < 1e-3);
 
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(93));
-        let mut state = FusedPlannedState::<f32>::new();
+        let mut state = RecurrentTrainState::<f32>::new();
         let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         for _epoch in 0..3 {
             for range in data.batches(6).collect::<Vec<_>>() {
                 let _ = rnn_batch_step_cached(&rnn, &data, range, method, &mut state);
             }
         }
-        assert_eq!(state.pooled_plans_built(), 1);
+        assert_eq!(state.pooled.plans_built(), 1);
     }
 
     #[test]
@@ -796,7 +728,7 @@ mod tests {
         assert!(bptt.max_loss_gap(&served) < 1e-3);
 
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(97));
-        let mut state = FusedPlannedState::<f32>::new();
+        let mut state = RecurrentTrainState::<f32>::new();
         for _epoch in 0..3 {
             for range in data.batches(6).collect::<Vec<_>>() {
                 let _ = rnn_batch_step_cached(
@@ -808,7 +740,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(state.served_lanes_built(), 1);
+        assert_eq!(state.served.lanes_built(), 1);
     }
 
     #[test]
@@ -818,8 +750,8 @@ mod tests {
         // served step reproduces the pooled step's gradients to fp noise.
         let data = BitstreamDataset::<f32>::generate(12, 10, 98);
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(99));
-        let mut pooled_state = FusedPlannedState::<f32>::new();
-        let mut served_state = FusedPlannedState::<f32>::new();
+        let mut pooled_state = RecurrentTrainState::<f32>::new();
+        let mut served_state = RecurrentTrainState::<f32>::new();
         let (pooled_loss, pooled_grads, _) = rnn_batch_step_cached(
             &rnn,
             &data,
@@ -855,8 +787,7 @@ mod tests {
     #[test]
     fn ssm_training_methods_share_the_trajectory() {
         // The diagonal-recurrence workload through every backward route:
-        // identical loss trajectories (the per-sample chains and the wide
-        // fused chain all compute the same scan).
+        // identical loss trajectories (every route computes the same scan).
         let data = BitstreamDataset::<f32>::generate(20, 24, 101);
         let run = |method: BackwardMethod| {
             let mut ssm = DiagonalSsm::<f32>::new(8, 10, &mut seeded_rng(102));
@@ -865,8 +796,7 @@ mod tests {
         };
         let sequential = run(BackwardMethod::Bp);
         for method in [
-            BackwardMethod::bppsa_threaded(2),
-            BackwardMethod::bppsa_fused(BppsaOptions::serial()),
+            BackwardMethod::bppsa_pooled(),
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
             BackwardMethod::bppsa_served(),
         ] {
@@ -887,7 +817,7 @@ mod tests {
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
             BackwardMethod::bppsa_served(),
         ] {
-            let mut state = SsmTrainState::<f32>::new();
+            let mut state = RecurrentTrainState::<f32>::new();
             for _epoch in 0..3 {
                 for range in data.batches(6).collect::<Vec<_>>() {
                     let _ = ssm_batch_step(&ssm, &data, range, method, &mut state);
@@ -895,35 +825,17 @@ mod tests {
             }
             match method {
                 BackwardMethod::BppsaPooled { .. } => {
-                    assert_eq!(state.pooled_plans_built(), 1);
+                    assert_eq!(state.pooled.plans_built(), 1);
                     assert!(state
-                        .pooled()
+                        .pooled
                         .plan()
                         .expect("planned")
                         .diagonal_kernel()
                         .is_some());
                 }
-                _ => assert_eq!(state.served_lanes_built(), 1),
+                _ => assert_eq!(state.served.lanes_built(), 1),
             }
         }
-    }
-
-    #[test]
-    fn fused_planned_remainder_batches_plan_each_shape_once() {
-        // 20 samples at batch 6 → per-epoch batches of 6, 6, 6, 2: the
-        // full and remainder shapes must each plan once, with no
-        // re-planning across epochs.
-        let data = BitstreamDataset::<f32>::generate(20, 10, 81);
-        let rnn = VanillaRnn::<f32>::new(1, 5, 10, &mut seeded_rng(82));
-        let mut state = FusedPlannedState::<f32>::new();
-        let method = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
-        for _epoch in 0..3 {
-            for range in data.batches(6).collect::<Vec<_>>() {
-                let _ = rnn_batch_step_cached(&rnn, &data, range, method, &mut state);
-            }
-        }
-        assert_eq!(state.plans_built(), 2);
-        assert_eq!(state.cached_plans(), 2);
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! Tier-1 allocation-behavior test for the *training* hot path: after
-//! warm-up, the fused planned backward's chain refresh + scan
-//! (`VanillaRnn::fused_planned_scan`) must be allocation-free — not just
-//! the scan kernels, but the per-iteration chain handling too.
+//! warm-up, the pooled route's steady state — refreshing every per-sample
+//! chain's values in place and fanning the chains across the worker pool —
+//! must be allocation-free. Not just the scan kernels, but the
+//! per-iteration chain handling too.
+//!
+//! Covers the RNN's CSR chain, the SSM's diagonal chain and a segmented
+//! (`segments = 2`) RNN plan.
 //!
 //! Single `#[test]` so no concurrent test thread pollutes the process-wide
 //! counters.
 
-use bppsa_core::BppsaOptions;
-use bppsa_models::{BitstreamDataset, FusedPlannedState, RnnBatchSample, VanillaRnn};
+use bppsa_core::{BppsaOptions, JacobianChain, ScanElement};
+use bppsa_models::{
+    BitstreamDataset, DiagonalSsm, PooledChainSet, RnnBatchSample, SsmBatchSample, VanillaRnn,
+};
 use bppsa_tensor::init::seeded_rng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 struct CountingAllocator;
 
@@ -40,14 +46,43 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-#[test]
-fn steady_state_fused_planned_scan_is_allocation_free() {
-    let data = BitstreamDataset::<f64>::generate(12, 24, 3);
-    let rnn = VanillaRnn::<f64>::new(1, 10, 10, &mut seeded_rng(4));
+/// Runs `f` with counting enabled, returning the allocation count.
+fn counted(f: impl FnOnce()) -> u64 {
+    ALLOCS.store(0, Ordering::SeqCst);
+    TRACKING.store(true, Ordering::SeqCst);
+    f();
+    TRACKING.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst)
+}
 
-    // Prepare one mini-batch outside the counted region (forward passes and
-    // seed scaling allocate by design).
-    let prepared: Vec<_> = (0..6)
+/// One steady-state iteration: `refresh` rewrites chain `k`'s seed and
+/// Jacobian values, then the set fans out with a non-allocating consumer.
+/// Returns how many results were consumed.
+fn refresh_and_execute(
+    set: &mut PooledChainSet<f64>,
+    n: usize,
+    refresh: impl Fn(usize, &mut JacobianChain<f64>),
+) -> usize {
+    for (k, chain) in set.chains_mut(n).iter_mut().enumerate() {
+        refresh(k, chain);
+    }
+    let consumed = AtomicUsize::new(0);
+    set.execute(n, &|_, result| {
+        assert!(result.grad_x(1).iter().all(|v| v.is_finite()));
+        consumed.fetch_add(1, Ordering::Relaxed);
+    });
+    consumed.into_inner()
+}
+
+#[test]
+fn steady_state_pooled_training_scan_is_allocation_free() {
+    let data = BitstreamDataset::<f64>::generate(12, 64, 3);
+    let rnn = VanillaRnn::<f64>::new(1, 10, 10, &mut seeded_rng(4));
+    let ssm = DiagonalSsm::<f64>::new(10, 10, &mut seeded_rng(5));
+
+    // Forward passes and seed preparation allocate by design: outside the
+    // counted region.
+    let rnn_prepared: Vec<_> = (0..6)
         .map(|i| {
             let sample = data.sample(i);
             let states = rnn.forward(&sample.bits);
@@ -55,29 +90,91 @@ fn steady_state_fused_planned_scan_is_allocation_free() {
             (sample.bits.clone(), states, seed, g_logits)
         })
         .collect();
-    let batch: Vec<RnnBatchSample<'_, f64>> = prepared
-        .iter()
-        .map(|(bits, states, seed, g)| (bits.as_slice(), states, seed.clone(), g.clone()))
+    let ssm_prepared: Vec<_> = (0..4)
+        .map(|i| {
+            let sample = data.sample(i);
+            let states = ssm.forward(&sample.bits);
+            let (_, seed, g_logits) = ssm.loss_and_seed(&states, sample.label);
+            (sample.bits.clone(), states, seed, g_logits)
+        })
         .collect();
 
-    let mut state = FusedPlannedState::<f64>::new();
-    let opts = BppsaOptions::serial();
-    // Warm-up: builds the chain, the plan, and the workspace.
-    let reference = rnn.fused_planned_scan(&batch, opts, &mut state).clone();
-    let _ = rnn.fused_planned_scan(&batch, opts, &mut state);
-    assert_eq!(state.plans_built(), 1);
+    let refresh_rnn = |k: usize, chain: &mut JacobianChain<f64>| {
+        let (_, states, seed, _) = &rnn_prepared[k];
+        chain
+            .seed_mut()
+            .as_mut_slice()
+            .copy_from_slice(seed.as_slice());
+        for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
+            let ScanElement::Sparse(m) = element else {
+                unreachable!("pooled RNN chains are CSR")
+            };
+            rnn.fill_hidden_jacobian_values(&states[t], m.data_mut());
+        }
+    };
+    let refresh_ssm = |k: usize, chain: &mut JacobianChain<f64>| {
+        let (_, states, seed, _) = &ssm_prepared[k];
+        chain
+            .seed_mut()
+            .as_mut_slice()
+            .copy_from_slice(seed.as_slice());
+        for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
+            let ScanElement::Sparse(m) = element else {
+                unreachable!("pooled SSM chains are CSR")
+            };
+            m.data_mut().copy_from_slice(states.a[t].as_slice());
+        }
+    };
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    TRACKING.store(true, Ordering::SeqCst);
-    let _ = rnn.fused_planned_scan(&batch, opts, &mut state);
-    TRACKING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    // RNN CSR chains, unsegmented (the whole batch) and segmented (one
+    // sample, so the segments' worker groups get the pool).
+    for (name, opts, n) in [
+        ("rnn", BppsaOptions::pooled(), 6),
+        ("rnn segmented", BppsaOptions::pooled().segmented(2), 1),
+    ] {
+        let batch: Vec<RnnBatchSample<'_, f64>> = rnn_prepared[..n]
+            .iter()
+            .map(|(bits, states, seed, g)| (bits.as_slice(), states, seed.clone(), g.clone()))
+            .collect();
+        let mut set = PooledChainSet::new();
+        // Warm-up: builds the chains, the plan and the workspaces.
+        let reference = rnn.backward_bppsa_pooled(&batch, opts, &mut set);
+        let _ = rnn.backward_bppsa_pooled(&batch, opts, &mut set);
+        assert_eq!(set.plans_built(), 1);
+        if opts.segments > 1 {
+            assert_eq!(set.plan().expect("planned").segments(), 2);
+        }
+
+        let mut consumed = 0;
+        let allocs = counted(|| consumed = refresh_and_execute(&mut set, n, refresh_rnn));
+        assert_eq!(consumed, n);
+        assert_eq!(
+            allocs, 0,
+            "{name}: steady-state pooled refresh + scan must not allocate"
+        );
+        // Still correct after the counted run.
+        let out = rnn.backward_bppsa_pooled(&batch, opts, &mut set);
+        assert!(out.max_abs_diff(&reference) < 1e-12, "{name}");
+    }
+
+    // SSM diagonal chains.
+    let batch: Vec<SsmBatchSample<'_, f64>> = ssm_prepared
+        .iter()
+        .map(|(xs, states, seed, g)| (xs.as_slice(), states, seed.clone(), g.clone()))
+        .collect();
+    let opts = BppsaOptions::pooled();
+    let mut set = PooledChainSet::new();
+    let reference = ssm.backward_bppsa_pooled(&batch, opts, &mut set);
+    let _ = ssm.backward_bppsa_pooled(&batch, opts, &mut set);
+    assert!(set.plan().expect("planned").diagonal_kernel().is_some());
+
+    let mut consumed = 0;
+    let allocs = counted(|| consumed = refresh_and_execute(&mut set, batch.len(), refresh_ssm));
+    assert_eq!(consumed, batch.len());
     assert_eq!(
         allocs, 0,
-        "steady-state fused_planned_scan (chain refresh + scan) must not allocate"
+        "ssm: steady-state pooled refresh + scan must not allocate"
     );
-
-    // Still correct after the counted run.
-    let out = rnn.fused_planned_scan(&batch, opts, &mut state);
+    let out = ssm.backward_bppsa_pooled(&batch, opts, &mut set);
     assert!(out.max_abs_diff(&reference) < 1e-12);
 }

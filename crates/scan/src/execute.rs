@@ -1,11 +1,11 @@
 //! Executors: run a [`ScanSchedule`] over a slice of elements, serially or
-//! with a pool of threads per level.
+//! on the persistent worker pool.
 //!
-//! The threaded executor mirrors the paper's CUDA implementation shape: "each
+//! The pooled executor mirrors the paper's CUDA implementation shape: "each
 //! level during the up-/down-sweep phase requires a single CUDA kernel
 //! launch, therefore synchronization is ensured between two consecutive
-//! levels". Here each level is one crossbeam scope (the join is the level
-//! barrier) and each thread handles a contiguous chunk of the level's pairs.
+//! levels". Here each level is one pool batch (its barrier is the level
+//! barrier) and each task handles a contiguous chunk of the level's pairs.
 
 use crate::pool::SendPtr;
 use crate::{Pair, ScanOp, ScanSchedule};
@@ -16,11 +16,6 @@ pub enum Executor {
     /// All pairs run on the calling thread.
     #[default]
     Serial,
-    /// Pairs in each level are split across this many freshly-spawned OS
-    /// threads (values `0` and `1` behave like [`Executor::Serial`]).
-    /// Simple, but pays a spawn per level — prefer [`Executor::Pooled`] for
-    /// repeated scans.
-    Threaded(usize),
     /// Pairs in each level run on the shared persistent worker pool
     /// ([`crate::global_pool`]) — the CPU analogue of the paper's
     /// one-kernel-per-level CUDA execution on persistent SMs.
@@ -74,46 +69,6 @@ fn run_level_serial<T, Op: ScanOp<T>>(a: &mut [T], op: &Op, pairs: &[Pair], down
     }
 }
 
-fn run_level_threaded<T: Send, Op: ScanOp<T> + Sync>(
-    a: &mut [T],
-    op: &Op,
-    pairs: &[Pair],
-    down: bool,
-    threads: usize,
-) {
-    if pairs.is_empty() {
-        return;
-    }
-    let threads = threads.min(pairs.len());
-    if threads <= 1 {
-        run_level_serial(a, op, pairs, down);
-        return;
-    }
-    let base = SendPtr(a.as_mut_ptr());
-    let len = a.len();
-    let chunk = pairs.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for chunk_pairs in pairs.chunks(chunk) {
-            scope.spawn(move |_| {
-                let base = base; // move the Copy wrapper into the closure
-                for &p in chunk_pairs {
-                    debug_assert!(p.l < p.r && p.r < len);
-                    // SAFETY: pairs within a level are pairwise disjoint
-                    // (schedule invariant), so no two threads alias.
-                    unsafe {
-                        if down {
-                            down_pair(base.0, op, p);
-                        } else {
-                            up_pair(base.0, op, p);
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("scan worker thread panicked");
-}
-
 /// Runs the serial exclusive scan across the block roots (the schedule's
 /// middle phase): replaces each root's fold with the exclusive prefix of the
 /// preceding blocks' folds.
@@ -131,7 +86,7 @@ fn run_middle<T, Op: ScanOp<T>>(a: &mut [T], op: &Op, roots: &[usize]) {
 ///
 /// # Panics
 ///
-/// Panics if `a.len() != schedule.len()`, or if a worker thread panics.
+/// Panics if `a.len() != schedule.len()`, or if a pooled task panics.
 ///
 /// # Examples
 ///
@@ -163,8 +118,6 @@ pub fn execute_in_place<T: Send, Op: ScanOp<T> + Sync>(
     );
     let run_level = |a: &mut [T], pairs: &[Pair], down: bool| match executor {
         Executor::Serial => run_level_serial(a, op, pairs, down),
-        Executor::Threaded(t) if t > 1 => run_level_threaded(a, op, pairs, down, t),
-        Executor::Threaded(_) => run_level_serial(a, op, pairs, down),
         Executor::Pooled => run_level_pooled(a, op, pairs, down, crate::global_pool()),
     };
     for level in schedule.up_levels() {
@@ -298,18 +251,19 @@ mod tests {
 
     #[test]
     fn threaded_matches_serial_for_noncommutative_op() {
+        // The pooled executor runs each level's pairs on the pool's worker
+        // threads; full and hybrid schedules must both match the oracle.
         for m in [5usize, 64, 127, 128, 1000] {
             let items: Vec<(i64, i64)> = (0..m as i64).map(|i| (2 * i + 1, 3 * i - 7)).collect();
             let expect = serial_exclusive_scan(&Affine, &items);
-            for threads in [2usize, 4, 8] {
+            for schedule in [
+                ScanSchedule::full(m),
+                ScanSchedule::with_up_levels(m, 2),
+                ScanSchedule::with_up_levels(m, 4),
+            ] {
                 let mut a = items.clone();
-                execute_in_place(
-                    &ScanSchedule::full(m),
-                    &Affine,
-                    &mut a,
-                    Executor::Threaded(threads),
-                );
-                assert_eq!(a, expect, "m={m} threads={threads}");
+                execute_in_place(&schedule, &Affine, &mut a, Executor::Pooled);
+                assert_eq!(a, expect, "m={m} schedule={schedule:?}");
             }
         }
     }
@@ -368,22 +322,6 @@ mod tests {
             let s = ScanSchedule::with_up_levels(41, k);
             execute_in_place(&s, &Concat, &mut a, Executor::Pooled);
             assert_eq!(a, expect, "k={k}");
-        }
-    }
-
-    #[test]
-    fn threaded_with_zero_or_one_thread_degenerates_to_serial() {
-        let items = strings(17);
-        let expect = serial_exclusive_scan(&Concat, &items);
-        for t in [0usize, 1] {
-            let mut a = items.clone();
-            execute_in_place(
-                &ScanSchedule::full(17),
-                &Concat,
-                &mut a,
-                Executor::Threaded(t),
-            );
-            assert_eq!(a, expect);
         }
     }
 }

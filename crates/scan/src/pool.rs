@@ -1,10 +1,9 @@
 //! A persistent worker pool for level-synchronous execution.
 //!
-//! [`Executor::Threaded`](crate::Executor::Threaded) spawns OS threads per
-//! level — simple but expensive when a level's combines are microseconds of
-//! work (a 20×20 matmul). The paper's CUDA kernels don't pay that cost: SMs
-//! persist across kernel launches. [`WorkerPool`] is the CPU analogue — a
-//! fixed set of threads that stay parked between levels.
+//! Spawning OS threads per level is expensive when a level's combines are
+//! microseconds of work (a 20×20 matmul). The paper's CUDA kernels don't pay
+//! that cost: SMs persist across kernel launches. [`WorkerPool`] is the CPU
+//! analogue — a fixed set of threads that stay parked between levels.
 //!
 //! Design: a small fixed array of **reused, generation-stamped batch
 //! headers** lets several batches be in flight at once. A publisher claims a

@@ -83,17 +83,19 @@ proptest! {
     fn threaded_equals_oracle_matrices(
         items in proptest::collection::vec(
             proptest::array::uniform4(-5i64..5).prop_map(M2), 0..60),
-        threads in 2usize..6,
+        k in 0usize..6,
     ) {
+        // The pooled executor fans each level across the pool's worker
+        // threads, on the full schedule and on a hybrid one.
         let expect = serial_exclusive_scan(&MatMul, &items);
-        let mut a = items.clone();
-        execute_in_place(
-            &ScanSchedule::full(items.len()),
-            &MatMul,
-            &mut a,
-            Executor::Threaded(threads),
-        );
-        prop_assert_eq!(a, expect);
+        for schedule in [
+            ScanSchedule::full(items.len()),
+            ScanSchedule::with_up_levels(items.len(), k),
+        ] {
+            let mut a = items.clone();
+            execute_in_place(&schedule, &MatMul, &mut a, Executor::Pooled);
+            prop_assert_eq!(a, expect.clone());
+        }
     }
 
     #[test]

@@ -33,12 +33,12 @@ fn main() {
 
     let bptt = run("BPTT", BackwardMethod::Bp);
     let bppsa = run("BPPSA", BackwardMethod::bppsa_pooled());
-    // The steady-state fast path: one fused block-diagonal scan per
-    // mini-batch, symbolically planned once, then executed numeric-only
-    // over a reused zero-allocation workspace every iteration.
-    let planned = run(
-        "PLANNED",
-        BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
+    // The batched training route: one per-sample chain each, all sharing
+    // one plan built once for the whole run, fanned across the worker pool
+    // with each sample on its own reused workspace.
+    let pooled = run(
+        "POOLED",
+        BackwardMethod::bppsa_pooled_batched(BppsaOptions::pooled()),
     );
 
     // The training trajectories are identical — BPPSA changes *how*
@@ -46,9 +46,9 @@ fn main() {
     let gap = bptt.max_loss_gap(&bppsa);
     println!("max per-iteration loss gap (BPTT vs BPPSA): {gap:.2e}");
     assert!(gap < 1e-3);
-    let gap_planned = bptt.max_loss_gap(&planned);
-    println!("max per-iteration loss gap (BPTT vs planned): {gap_planned:.2e}");
-    assert!(gap_planned < 1e-3);
+    let gap_pooled = bptt.max_loss_gap(&pooled);
+    println!("max per-iteration loss gap (BPTT vs pooled): {gap_pooled:.2e}");
+    assert!(gap_pooled < 1e-3);
 
     // At GPU scale the time axis compresses; the PRAM model shows by how much.
     let speedup = simulate_speedups(&RnnWorkload::paper_default(), &DeviceProfile::rtx_2070());
