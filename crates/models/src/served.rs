@@ -45,27 +45,6 @@ pub struct ServedSubmitError {
     pub refusal: SubmitRefusal,
 }
 
-impl ServedSubmitError {
-    /// Whether the refusal reflects **service overload** — shedding,
-    /// backpressure, a warming or quarantined lane, an infeasible
-    /// deadline, or memory pressure — rather than a caller-side problem
-    /// ([`Shutdown`](SubmitRefusal::Shutdown),
-    /// [`TicketInFlight`](SubmitRefusal::TicketInFlight)). Overload
-    /// refusals are the ones worth re-routing to an owned
-    /// [`BatchedBackward`](bppsa_core::BatchedBackward) executor or a less
-    /// loaded service; note this is *not* the same split as
-    /// [`SubmitRefusal::is_transient`] —
-    /// [`Infeasible`](SubmitRefusal::Infeasible) is overload but not
-    /// retryable in place, because an immediate resubmit faces the same
-    /// queue and the same latency estimate.
-    pub fn is_overload(&self) -> bool {
-        !matches!(
-            self.refusal,
-            SubmitRefusal::Shutdown | SubmitRefusal::TicketInFlight
-        )
-    }
-}
-
 impl std::fmt::Display for ServedSubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -259,34 +238,5 @@ impl<S: Scalar> ServedChainSet<S> {
             *slot = Some(ticket.take_chain());
         }
         failure.map_or(Ok(()), Err)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overload_classification_splits_refusals_by_reroutability() {
-        let overload = [
-            SubmitRefusal::Backpressure,
-            SubmitRefusal::LaneWarming,
-            SubmitRefusal::Shed,
-            SubmitRefusal::Quarantined,
-            SubmitRefusal::Infeasible,
-            SubmitRefusal::MemoryPressure,
-        ];
-        for refusal in overload {
-            let err = ServedSubmitError { index: 0, refusal };
-            assert!(err.is_overload(), "{refusal} should classify as overload");
-        }
-        for refusal in [SubmitRefusal::Shutdown, SubmitRefusal::TicketInFlight] {
-            let err = ServedSubmitError { index: 0, refusal };
-            assert!(!err.is_overload(), "{refusal} is caller-side, not overload");
-        }
-        // Infeasible is the split's interesting corner: overload, yet not
-        // transient — re-route it, don't resubmit it.
-        assert!(!SubmitRefusal::Infeasible.is_transient());
-        assert!(SubmitRefusal::MemoryPressure.is_transient());
     }
 }

@@ -105,6 +105,7 @@
 
 #![warn(missing_docs)]
 
+mod admission;
 mod fault;
 mod metrics;
 mod overload;
@@ -121,10 +122,13 @@ pub use overload::{
 // Re-exported so metrics consumers can name the snapshot's plan-profile
 // fields without a direct `bppsa-core` dependency, and so the memory
 // budget a `ServeConfig` carries can be built without one either.
+pub use admission::{
+    admit, AdmitDecision, AdmitRequest, LaneView, ShedPolicy, SubmitError, SubmitRefusal,
+};
 pub use bppsa_core::{KernelCounts, MemoryBudget, PlanKind};
 pub use retry::RetryPolicy;
 pub use service::{
     flush_decision, lane_plan_options, BppsaService, BreakerPolicy, DeadlinePolicy, FlushDecision,
-    ServeConfig, ShedPolicy, SubmitError, SubmitRefusal, LANE_SEGMENTS, LANE_SEGMENT_MIN_LAYERS,
+    ServeConfig, LANE_SEGMENTS, LANE_SEGMENT_MIN_LAYERS,
 };
 pub use ticket::{ServeError, Ticket};

@@ -44,9 +44,10 @@ pub fn ewma_update(prev_nanos: u64, sample_nanos: u64) -> u64 {
     prev_nanos - (prev_nanos >> EWMA_SHIFT) + (sample_nanos >> EWMA_SHIFT)
 }
 
-/// Predicted time until a request at queue position `queued` (counting
-/// itself: `pending + 1`) would flush: full flushes ahead of it at
-/// `max_batch` per flush, each taking `ewma_flush`.
+/// Predicted queue wait behind `queued` already-pending requests:
+/// `ceil(queued / max_batch)` flushes, each taking `ewma_flush`. The
+/// arriving request does not count itself — [`admit`](crate::admit) passes
+/// the current queue depth, so an empty queue predicts zero wait.
 ///
 /// Pure in its arguments — two submitters observing the same queue depth
 /// and estimate get the same prediction regardless of arrival order (the

@@ -47,14 +47,12 @@
 //! stays bounded by `queue_cap` chains + the workspace pool), while
 //! [`BppsaService::try_submit`] returns [`SubmitError::Backpressure`]
 //! instead. A [`ShedPolicy`] turns blocking into refusal for requests that
-//! are doomed anyway: beyond a queue-depth threshold, or with a delay
-//! budget the lane's warm-up would consume before the first flush, submit
-//! returns [`SubmitError::Shed`] immediately (the chain handed back) and
-//! the lane's shed counter records it. [`BppsaService::shutdown`] (also run
-//! on drop) closes the router and every lane, then joins the dispatchers —
-//! each drains its pending requests first, so every accepted request
-//! completes and every waiter wakes; only *new* submissions are refused
-//! with [`SubmitError::Shutdown`], handing the chain back.
+//! are doomed anyway; the pure [`admit`] table decides every per-lane
+//! refusal, and the chain is handed back. [`BppsaService::shutdown`]
+//! (also run on drop) closes the router and every lane, then joins the
+//! dispatchers — each drains its pending requests first, so every accepted
+//! request completes and every waiter wakes; only *new* submissions are
+//! refused with [`SubmitError::Shutdown`], handing the chain back.
 //!
 //! # Failure domains & supervision
 //!
@@ -89,11 +87,12 @@
 //! ([`BppsaService::metrics_rollup`]) so unbounded shape churn cannot grow
 //! the registry forever. See [`LaneMetricsSnapshot`].
 
+use crate::admission::{
+    admit, AdmitDecision, AdmitRequest, LaneView, ShedPolicy, SubmitError, SubmitRefusal,
+};
 use crate::fault::{FaultInjector, InjectionPoint};
 use crate::metrics::{FlushCause, LaneMetrics, LaneMetricsSnapshot, LaneState, RetiredRollup};
-use crate::overload::{
-    BrownoutLevel, BrownoutPolicy, BrownoutState, FeasibilityPolicy, WatchdogPolicy,
-};
+use crate::overload::{BrownoutLevel, BrownoutPolicy, BrownoutState, WatchdogPolicy};
 use crate::retry::RetryPolicy;
 use crate::ticket::{ServeError, Ticket, TicketShared};
 use bppsa_core::{
@@ -109,103 +108,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// When to refuse a request at submit time instead of queueing it — load
-/// shedding for requests that are overwhelmingly likely to miss their
-/// deadline anyway. Disabled by default.
-///
-/// Shedding is per lane and synchronous: a shed request never enters the
-/// queue, its chain is handed back in [`SubmitError::Shed`], and the lane's
-/// shed counter ([`LaneMetricsSnapshot::shed`]) records the refusal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShedPolicy {
-    /// Refuse when the target lane already has this many requests queued.
-    /// Must be non-zero when set. Values above [`ServeConfig::queue_cap`]
-    /// are inert (the queue can never get that deep); at exactly
-    /// `queue_cap`, a full queue *sheds* non-seeding requests where
-    /// blocking backpressure would otherwise have parked them — an armed
-    /// policy prefers refusal over waiting.
-    pub max_queue_depth: Option<usize>,
-    /// Deadline feasibility during bring-up: refuse a request whose delay
-    /// budget is below this while its lane is still
-    /// [`Warming`](LaneState::Warming) — the warm-up (symbolic planning +
-    /// workspace construction) would consume the budget before the first
-    /// flush could run. The request that *seeds* a lane's warm-up is
-    /// exempt (it is the template the plan is built from). Applies to
-    /// blocking submits only: non-blocking submits to a warming lane are
-    /// refused earlier with [`SubmitError::LaneWarming`], which is not
-    /// counted as a shed.
-    pub min_warming_delay: Option<Duration>,
-    /// Deadline feasibility in steady state: refuse a request whose delay
-    /// budget the lane's own measured flush latency says cannot be met —
-    /// predicted wait (queue depth, batch width, EWMA flush latency, see
-    /// [`predicted_wait`](crate::predicted_wait)) strictly exceeding the
-    /// budget refuses with [`SubmitError::Infeasible`] (not counted as a
-    /// shed — [`LaneMetricsSnapshot::infeasible`] records it separately).
-    /// Inert until the lane has served
-    /// [`FeasibilityPolicy::min_flushes`] flushes, so a cold estimator
-    /// never refuses anything.
-    pub feasibility: Option<FeasibilityPolicy>,
-}
-
-impl ShedPolicy {
-    /// Never shed (the default): requests queue or block under plain
-    /// backpressure.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    fn validate(&self) {
-        if let Some(depth) = self.max_queue_depth {
-            assert!(depth >= 1, "ShedPolicy: max_queue_depth must be >= 1");
-        }
-    }
-
-    /// Whether the depth threshold refuses a request seeing `queue_depth`
-    /// entries already queued. Pure; monotone in `queue_depth`.
-    pub fn sheds_on_depth(&self, queue_depth: usize) -> bool {
-        self.max_queue_depth.is_some_and(|max| queue_depth >= max)
-    }
-
-    /// Whether the warming-feasibility threshold refuses a blocking request
-    /// with delay budget `delay` submitted to a still-warming lane. Pure;
-    /// anti-monotone in `delay` (a shorter budget never un-sheds).
-    pub fn sheds_on_warming_delay(&self, delay: Duration) -> bool {
-        self.min_warming_delay.is_some_and(|min| delay < min)
-    }
-
-    /// Whether the feasibility threshold refuses a request with delay
-    /// budget `delay`, given the lane's flush-latency `estimate` (already
-    /// gated on the cold-start sample count — `None` never refuses). Pure;
-    /// delegates to [`FeasibilityPolicy::sheds`], exclusive boundary.
-    pub fn sheds_on_infeasibility(
-        &self,
-        queued: usize,
-        max_batch: usize,
-        estimate: Option<Duration>,
-        delay: Duration,
-    ) -> bool {
-        self.feasibility
-            .is_some_and(|p| p.sheds(queued, max_batch, estimate, delay))
-    }
-
-    /// The full shed decision for a blocking submit, as the lane's enqueue
-    /// path applies it: a request that seeds its lane's warm-up is never
-    /// shed; otherwise the depth threshold applies always and the
-    /// warming-delay threshold applies while the lane is warming. Pure —
-    /// this is the function the shed proptests pin down; the submit path
-    /// calls the same component predicates.
-    pub fn should_shed(
-        &self,
-        queue_depth: usize,
-        warming: bool,
-        delay: Duration,
-        seeds_warmup: bool,
-    ) -> bool {
-        !seeds_warmup
-            && (self.sheds_on_depth(queue_depth) || (warming && self.sheds_on_warming_delay(delay)))
-    }
-}
 
 /// Per-lane circuit breaker: after this many *consecutive* batch panics the
 /// lane stops serving and quarantines its shape. Disabled by default.
@@ -404,153 +306,6 @@ impl ServeConfig {
     }
 }
 
-/// Why a submission was refused; the chain is always handed back for retry
-/// or disposal.
-#[derive(Debug)]
-pub enum SubmitError<S> {
-    /// The service is shutting down (or already shut down).
-    Shutdown(JacobianChain<S>),
-    /// [`BppsaService::try_submit`] only: the target lane's queue is full.
-    Backpressure(JacobianChain<S>),
-    /// The ticket already has a request in flight — one flight per ticket
-    /// at a time.
-    TicketInFlight(JacobianChain<S>),
-    /// [`BppsaService::try_submit`] only: the target lane is still
-    /// [`Warming`](LaneState::Warming) (its plan is being built on the
-    /// dispatcher thread). Retry, block via [`BppsaService::submit`], or
-    /// route elsewhere.
-    LaneWarming(JacobianChain<S>),
-    /// The [`ShedPolicy`] refused the request (queue too deep, or the delay
-    /// budget is infeasible while the lane warms).
-    Shed(JacobianChain<S>),
-    /// The chain's shape is quarantined: a lane of this shape tripped its
-    /// [`BreakerPolicy`] (or is mid-probe) and the cool-down has not
-    /// produced a successful half-open probe yet. Transient — retry after
-    /// the cool-down (e.g. via [`BppsaService::submit_retrying`]), or
-    /// route the work elsewhere.
-    Quarantined(JacobianChain<S>),
-    /// The lane's own measured flush latency says the request cannot meet
-    /// its delay budget (see [`ShedPolicy::feasibility`]): the predicted
-    /// queue wait already exceeds the deadline, so queueing it would only
-    /// burn a batch slot on a guaranteed miss. **Not transient** — an
-    /// immediate retry faces the same queue and the same estimate; retry
-    /// with a larger budget, or route elsewhere.
-    Infeasible(JacobianChain<S>),
-    /// The service is under memory pressure: the configured
-    /// [`MemoryBudget`] is exhausted and creating a lane for this (cold)
-    /// shape was refused — either nothing was evictable, or the brownout
-    /// controller is at [`BrownoutLevel::DeclineColdShapes`]. Transient —
-    /// pressure subsides as lanes retire and release their workspaces.
-    MemoryPressure(JacobianChain<S>),
-}
-
-/// The chain-free identity of a [`SubmitError`] — `Copy`, comparable, and
-/// displayable, for surfacing a refusal through layers that must not carry
-/// the (potentially large) chain along, e.g. `bppsa-models`' typed
-/// retry-exhaustion errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitRefusal {
-    /// See [`SubmitError::Shutdown`].
-    Shutdown,
-    /// See [`SubmitError::Backpressure`].
-    Backpressure,
-    /// See [`SubmitError::TicketInFlight`].
-    TicketInFlight,
-    /// See [`SubmitError::LaneWarming`].
-    LaneWarming,
-    /// See [`SubmitError::Shed`].
-    Shed,
-    /// See [`SubmitError::Quarantined`].
-    Quarantined,
-    /// See [`SubmitError::Infeasible`].
-    Infeasible,
-    /// See [`SubmitError::MemoryPressure`].
-    MemoryPressure,
-}
-
-impl SubmitRefusal {
-    /// Whether retrying can ever help: `true` for the transient refusals
-    /// ([`Backpressure`](Self::Backpressure),
-    /// [`LaneWarming`](Self::LaneWarming), [`Shed`](Self::Shed),
-    /// [`Quarantined`](Self::Quarantined),
-    /// [`MemoryPressure`](Self::MemoryPressure)); `false` for
-    /// [`Shutdown`](Self::Shutdown) (permanent),
-    /// [`TicketInFlight`](Self::TicketInFlight) (a caller bug), and
-    /// [`Infeasible`](Self::Infeasible) — an immediate retry of an
-    /// infeasible request faces the same queue and the same latency
-    /// estimate, so backing off and resubmitting only deepens the
-    /// overload the refusal exists to relieve.
-    pub fn is_transient(self) -> bool {
-        !matches!(
-            self,
-            SubmitRefusal::Shutdown | SubmitRefusal::TicketInFlight | SubmitRefusal::Infeasible
-        )
-    }
-}
-
-impl std::fmt::Display for SubmitRefusal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitRefusal::Shutdown => write!(f, "service is shutting down"),
-            SubmitRefusal::Backpressure => write!(f, "lane queue is full"),
-            SubmitRefusal::TicketInFlight => {
-                write!(f, "ticket already has a request in flight")
-            }
-            SubmitRefusal::LaneWarming => {
-                write!(f, "lane is still warming (plan being built)")
-            }
-            SubmitRefusal::Shed => write!(f, "request shed by load-shedding policy"),
-            SubmitRefusal::Quarantined => {
-                write!(f, "chain shape is quarantined by a tripped circuit breaker")
-            }
-            SubmitRefusal::Infeasible => {
-                write!(f, "predicted queue wait exceeds the request's delay budget")
-            }
-            SubmitRefusal::MemoryPressure => {
-                write!(f, "memory budget exhausted; cold-shape lane refused")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SubmitRefusal {}
-
-impl<S> SubmitError<S> {
-    /// Reclaims the refused chain.
-    pub fn into_chain(self) -> JacobianChain<S> {
-        match self {
-            SubmitError::Shutdown(c)
-            | SubmitError::Backpressure(c)
-            | SubmitError::TicketInFlight(c)
-            | SubmitError::LaneWarming(c)
-            | SubmitError::Shed(c)
-            | SubmitError::Quarantined(c)
-            | SubmitError::Infeasible(c)
-            | SubmitError::MemoryPressure(c) => c,
-        }
-    }
-
-    /// The refusal's chain-free identity (see [`SubmitRefusal`]).
-    pub fn kind(&self) -> SubmitRefusal {
-        match self {
-            SubmitError::Shutdown(_) => SubmitRefusal::Shutdown,
-            SubmitError::Backpressure(_) => SubmitRefusal::Backpressure,
-            SubmitError::TicketInFlight(_) => SubmitRefusal::TicketInFlight,
-            SubmitError::LaneWarming(_) => SubmitRefusal::LaneWarming,
-            SubmitError::Shed(_) => SubmitRefusal::Shed,
-            SubmitError::Quarantined(_) => SubmitRefusal::Quarantined,
-            SubmitError::Infeasible(_) => SubmitRefusal::Infeasible,
-            SubmitError::MemoryPressure(_) => SubmitRefusal::MemoryPressure,
-        }
-    }
-}
-
-impl<S> std::fmt::Display for SubmitError<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.kind().fmt(f)
-    }
-}
-
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     // Queue and router state are value-only; a panicking holder leaves them
     // consistent (panics inside a flush are caught before this layer).
@@ -742,21 +497,6 @@ struct LaneQueue<S> {
     open: bool,
 }
 
-/// Why a [`Lane::push`] was refused.
-enum PushRefusal {
-    /// Lane closed (evicted or shutting down) — re-route.
-    Closed,
-    /// Queue full and the caller asked not to block.
-    Full,
-    /// Lane still planning and the caller asked not to block.
-    Warming,
-    /// The shed policy refused the request.
-    Shed,
-    /// The feasibility estimator refused the request (predicted wait
-    /// exceeds the delay budget).
-    Infeasible,
-}
-
 /// The flush currently inside [`BatchedBackward::execute`], published by
 /// the dispatcher for the stall watchdog. `active` is armed after batch
 /// assembly (before the `FlushTiming` injection point, so scripted stalls
@@ -864,11 +604,9 @@ impl<S: Scalar> Lane<S> {
 }
 
 impl<S> Lane<S> {
-    /// Enqueues a request, blocking on a full queue when `block` (the
-    /// bounded-queue backpressure). `seed` marks the request that created
-    /// the lane — it is the template the plan will be built from, so the
-    /// warming refusal/shed checks never apply to it. Refusals hand the
-    /// chain back.
+    /// Enqueues a request as [`admit`] decides, parking on `space` while it
+    /// says [`AdmitDecision::Park`]. A refusal hands the chain back with its
+    /// kind; `None` means the lane closed and the caller re-routes.
     fn push(
         &self,
         chain: JacobianChain<S>,
@@ -876,68 +614,49 @@ impl<S> Lane<S> {
         delay: Duration,
         ticket: Arc<TicketShared<S>>,
         block: bool,
-        seed: bool,
-    ) -> Result<(), (JacobianChain<S>, PushRefusal)> {
+        created: bool,
+    ) -> Result<(), (JacobianChain<S>, Option<SubmitRefusal>)> {
+        let request = AdmitRequest {
+            delay,
+            block,
+            created_lane: created,
+        };
         let mut q = lock(&self.queue);
         loop {
             if !q.open {
-                return Err((chain, PushRefusal::Closed));
+                return Err((chain, None));
             }
-            // The request that seeds the warm-up is exempt from every
-            // shed/warming check: the lane-creating request by definition,
-            // but also *any* request reaching a warming lane whose queue is
-            // still empty — the creator may never have pushed (e.g. a
-            // `TicketInFlight` refusal after `route()` created the lane),
-            // and the dispatcher plans from the first queued chain,
-            // whoever's it is. Refusing it would starve the lane: it
-            // would sit in `Warming` refusing non-blocking traffic forever.
-            let warming = self.metrics.state() == LaneState::Warming;
-            let seeds_warmup = seed || (warming && q.pending.is_empty());
-            if !seeds_warmup {
-                // Same arithmetic as the pure `ShedPolicy::should_shed`
-                // (pinned by proptest), applied in refusal-precedence
-                // order: the depth threshold sheds in both modes, then a
-                // warming lane refuses non-blocking callers (they can
-                // route traffic elsewhere), then a blocking request whose
-                // delay budget the warm-up would consume anyway is shed;
-                // everyone else queues (or parks below on a full queue).
-                if self.shed.sheds_on_depth(q.pending.len()) {
-                    self.metrics.record_shed();
-                    return Err((chain, PushRefusal::Shed));
+            // The estimate and the brownout width (the dispatcher's own, so
+            // the prediction counts the flushes that will really run) are
+            // read only when feasibility is armed.
+            let (max_batch, flush_estimate) = match self.shed.feasibility {
+                Some(policy) => (
+                    self.metrics.brownout().effective_max_batch(self.max_batch),
+                    self.metrics.flush_estimate(policy.min_flushes),
+                ),
+                None => (self.max_batch, None),
+            };
+            let lane = LaneView {
+                queue_depth: q.pending.len(),
+                queue_cap: self.queue_cap,
+                max_batch,
+                warming: self.metrics.state() == LaneState::Warming,
+                flush_estimate,
+            };
+            match admit(&self.shed, lane, request) {
+                AdmitDecision::Enqueue => break,
+                AdmitDecision::Park => {
+                    q = self.space.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
-                if warming {
-                    if !block {
-                        return Err((chain, PushRefusal::Warming));
+                AdmitDecision::Refuse(kind) => {
+                    match kind {
+                        SubmitRefusal::Shed => self.metrics.record_shed(),
+                        SubmitRefusal::Infeasible => self.metrics.record_infeasible(),
+                        _ => {}
                     }
-                    if self.shed.sheds_on_warming_delay(delay) {
-                        self.metrics.record_shed();
-                        return Err((chain, PushRefusal::Shed));
-                    }
-                }
-                // Feasibility last (it is the most speculative refusal):
-                // the lane's own EWMA flush latency predicts this request's
-                // queue wait; a predicted miss is refused up front instead
-                // of burning a batch slot on a guaranteed deadline miss.
-                // The estimate is `None` until the estimator has
-                // `min_flushes` samples — a cold lane never refuses on
-                // feasibility — so this costs one armed-policy branch plus
-                // two relaxed atomic loads, and nothing at all when the
-                // policy is off.
-                if let Some(policy) = self.shed.feasibility {
-                    let estimate = self.metrics.flush_estimate(policy.min_flushes);
-                    if policy.sheds(q.pending.len(), self.max_batch, estimate, delay) {
-                        self.metrics.record_infeasible();
-                        return Err((chain, PushRefusal::Infeasible));
-                    }
+                    return Err((chain, Some(kind)));
                 }
             }
-            if q.pending.len() < self.queue_cap {
-                break;
-            }
-            if !block {
-                return Err((chain, PushRefusal::Full));
-            }
-            q = self.space.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
         q.pending.push_back(PendingRequest {
             chain,
@@ -1698,18 +1417,6 @@ struct ServiceShared<S> {
     stop: Arc<(Mutex<bool>, Condvar)>,
 }
 
-/// Why [`BppsaService::route`] refused to produce a lane.
-enum RouteRefusal {
-    /// The service is shutting down.
-    Shutdown,
-    /// The chain's shape is quarantined and its cool-down has not elapsed
-    /// (or another request already holds the half-open probe slot).
-    Quarantined,
-    /// The memory budget is exhausted with nothing evictable, or the
-    /// brownout controller is declining cold shapes.
-    MemoryPressure,
-}
-
 /// A deadline micro-batching front door over [`BatchedBackward`]: accepts
 /// independently submitted backward requests, routes them by chain shape to
 /// per-plan lanes, and coalesces each lane's queue into wide planned-scan
@@ -1918,10 +1625,12 @@ impl<S: Scalar> BppsaService<S> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Shutdown`] when the service is shutting down,
-    /// [`SubmitError::TicketInFlight`] when `ticket` already has a pending
-    /// request, [`SubmitError::Shed`] when the configured [`ShedPolicy`]
-    /// refuses the request; all hand the chain back.
+    /// Every refusal hands the chain back: [`SubmitError::TicketInFlight`]
+    /// for a ticket already in flight; the router's [`SubmitError::Shutdown`],
+    /// [`SubmitError::Quarantined`] and [`SubmitError::MemoryPressure`]; and
+    /// the lane's [`SubmitError::Shed`] and [`SubmitError::Infeasible`], as
+    /// [`admit`]'s table decides them (blocking never sees `Backpressure` or
+    /// `LaneWarming`).
     ///
     /// # Panics
     ///
@@ -1987,43 +1696,20 @@ impl<S: Scalar> BppsaService<S> {
                 std::mem::forget(guard);
                 routed
             };
-            let (lane, created) = match routed {
-                Ok(pair) => pair,
-                Err(RouteRefusal::Shutdown) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Shutdown(chain));
+            let pushed = match routed {
+                Ok((lane, created)) => {
+                    lane.push(chain, deadline, delay, Arc::clone(&shared), block, created)
                 }
-                Err(RouteRefusal::Quarantined) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Quarantined(chain));
-                }
-                Err(RouteRefusal::MemoryPressure) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::MemoryPressure(chain));
-                }
+                Err(kind) => Err((chain, Some(kind))),
             };
-            match lane.push(chain, deadline, delay, Arc::clone(&shared), block, created) {
+            match pushed {
                 Ok(()) => return Ok(()),
-                Err((c, PushRefusal::Closed)) => {
-                    // Lane evicted between routing and push: re-route (the
-                    // lane is re-created if its shape is still wanted).
-                    chain = c;
-                }
-                Err((c, PushRefusal::Full)) => {
+                // Lane evicted between routing and push: re-route (the lane
+                // is re-created if its shape is still wanted).
+                Err((c, None)) => chain = c,
+                Err((c, Some(kind))) => {
                     shared.abort_flight();
-                    return Err(SubmitError::Backpressure(c));
-                }
-                Err((c, PushRefusal::Warming)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::LaneWarming(c));
-                }
-                Err((c, PushRefusal::Shed)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Shed(c));
-                }
-                Err((c, PushRefusal::Infeasible)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Infeasible(c));
+                    return Err(SubmitError::new(kind, c));
                 }
             }
         }
@@ -2039,10 +1725,10 @@ impl<S: Scalar> BppsaService<S> {
     /// never for planning: the symbolic planner and workspace pool are
     /// built by the new lane's dispatcher thread ([`warm_up`]), and
     /// submitters of other shapes route concurrently.
-    fn route(&self, chain: &JacobianChain<S>) -> Result<(Arc<Lane<S>>, bool), RouteRefusal> {
+    fn route(&self, chain: &JacobianChain<S>) -> Result<(Arc<Lane<S>>, bool), SubmitRefusal> {
         let mut router = lock(&self.shared.router);
         if !router.open {
-            return Err(RouteRefusal::Shutdown);
+            return Err(SubmitRefusal::Shutdown);
         }
         // A lane whose warm-up failed (plan panic), whose breaker tripped,
         // or whose dispatcher died closed itself but could not remove
@@ -2078,7 +1764,7 @@ impl<S: Scalar> BppsaService<S> {
                 .pressure
                 .memory_refused
                 .fetch_add(1, Ordering::Relaxed);
-            return Err(RouteRefusal::MemoryPressure);
+            return Err(SubmitRefusal::MemoryPressure);
         }
         // Quarantine gate, also only on the miss path: a hit proves the
         // shape is not quarantined (a trip marks its lane Quarantined, and
@@ -2086,7 +1772,7 @@ impl<S: Scalar> BppsaService<S> {
         // tripped shape is refused outright until its cool-down elapses,
         // then exactly one request is admitted as the half-open probe.
         let probe = match self.shared.book.admit(chain, Instant::now()) {
-            Admission::Refuse => return Err(RouteRefusal::Quarantined),
+            Admission::Refuse => return Err(SubmitRefusal::Quarantined),
             Admission::Probe => true,
             Admission::Clear => false,
         };
@@ -2121,7 +1807,7 @@ impl<S: Scalar> BppsaService<S> {
                         .pressure
                         .memory_refused
                         .fetch_add(1, Ordering::Relaxed);
-                    return Err(RouteRefusal::MemoryPressure);
+                    return Err(SubmitRefusal::MemoryPressure);
                 }
             }
         }
@@ -2936,7 +2622,7 @@ mod tests {
             false,
         );
         assert!(
-            matches!(refused, Err((_, PushRefusal::Warming))),
+            matches!(refused, Err((_, Some(SubmitRefusal::LaneWarming)))),
             "seeded warming lane refuses further non-blocking pushes"
         );
         // No dispatcher was spawned for this hand-built lane; complete the
@@ -2948,6 +2634,70 @@ mod tests {
         }
         drop(q);
         assert_eq!(first.wait(), Ok(()));
+    }
+
+    #[test]
+    fn feasibility_predicts_with_the_brownout_batch_width() {
+        // Regression: feasibility used to predict with the configured
+        // `max_batch` while the dispatcher flushes at the brownout-halved
+        // width. At `HalfBatch` (8 → 4), 6 queued requests take two 10 ms
+        // flushes, so a 15 ms budget is infeasible; counted at width 8 it
+        // looked like one flush and was admitted.
+        let config = ServeConfig {
+            max_batch: 8,
+            queue_cap: 16,
+            shed: ShedPolicy {
+                max_queue_depth: None,
+                min_warming_delay: None,
+                feasibility: Some(crate::FeasibilityPolicy { min_flushes: 1 }),
+            },
+            ..quick_config()
+        };
+        let template = sparse_chain(4, 6, 110);
+        // No dispatcher: the lane's state, estimate and brownout level are
+        // set by hand, so the decision is deterministic.
+        let lane = Lane::<f64>::placeholder(
+            LaneShape::of(&template),
+            &config,
+            0,
+            false,
+            Arc::new(QuarantineBook::default()),
+        );
+        lane.metrics.mark_live();
+        lane.metrics.record_flush_latency(Duration::from_millis(10));
+        lane.metrics.set_brownout(BrownoutLevel::HalfBatch);
+        let push = |seed: u64, delay: Duration| {
+            let ticket = Ticket::new();
+            assert!(ticket.shared().begin_flight());
+            let outcome = lane.push(
+                revalue(&template, seed),
+                Instant::now() + delay,
+                delay,
+                ticket.shared(),
+                false,
+                false,
+            );
+            (ticket, outcome.map_err(|(_, kind)| kind))
+        };
+        let queued: Vec<Ticket<f64>> = (0..6)
+            .map(|k| {
+                let (ticket, outcome) = push(111 + k, Duration::from_secs(1));
+                assert_eq!(outcome, Ok(()), "long-budget request {k} queues");
+                ticket
+            })
+            .collect();
+        let (_, outcome) = push(120, Duration::from_millis(15));
+        assert_eq!(outcome, Err(Some(SubmitRefusal::Infeasible)));
+        assert_eq!(lane.metrics.snapshot().infeasible, 1);
+        lane.close();
+        let mut q = lock(&lane.queue);
+        while let Some(req) = q.pending.pop_front() {
+            req.ticket.finish(req.chain, None);
+        }
+        drop(q);
+        for ticket in &queued {
+            assert_eq!(ticket.wait(), Ok(()));
+        }
     }
 
     #[test]

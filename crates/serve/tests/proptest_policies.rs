@@ -3,12 +3,13 @@
 //! Two decision functions gate every request's path through a lane, and
 //! both are deliberately pure so they can be pinned here without threads:
 //!
-//! * [`ShedPolicy`] — the submit-time refusal arithmetic. The properties
-//!   that make shedding *safe* are monotonicity (adding queue depth or
-//!   shrinking a delay budget never turns a refusal back into an accept —
-//!   otherwise shedding would oscillate under load) and the seeding
-//!   exemption (the request a lane's warm-up plan is built from is never
-//!   shed, or a cold shape could starve itself forever).
+//! * [`admit`] — the submit-time admission table every lane push applies.
+//!   The properties that make refusal *safe* are monotonicity (adding
+//!   queue depth, shrinking a delay budget or raising the flush estimate
+//!   never turns a refusal back into an accept — otherwise shedding would
+//!   oscillate under load) and the seeding exemption (the request a lane's
+//!   warm-up plan is built from is never shed, or a cold shape could
+//!   starve itself forever).
 //! * [`flush_decision`] — the dispatcher's wait-loop timer. The property
 //!   that makes deadline batching *correct* is that the timer follows the
 //!   **earliest** pending deadline whatever order requests arrived in:
@@ -17,130 +18,378 @@
 //!   exactly that minimum (never a later deadline, which would let the
 //!   earliest request miss).
 
-use bppsa_serve::{flush_decision, FlushCause, FlushDecision, ShedPolicy};
+use bppsa_serve::{
+    admit, flush_decision, AdmitDecision, AdmitRequest, FeasibilityPolicy, FlushCause,
+    FlushDecision, LaneView, ShedPolicy, SubmitRefusal,
+};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
 /// An arbitrary shed policy: each threshold independently absent or set.
 fn shed_policy() -> impl Strategy<Value = ShedPolicy> {
-    (any::<bool>(), 1..64usize, any::<bool>(), 0..200_000u64).prop_map(
-        |(arm_depth, depth, arm_delay, min_us)| ShedPolicy {
-            max_queue_depth: arm_depth.then_some(depth),
-            min_warming_delay: arm_delay.then(|| Duration::from_micros(min_us)),
-            feasibility: None,
-        },
+    (
+        any::<bool>(),
+        1..64usize,
+        any::<bool>(),
+        0..200_000u64,
+        any::<bool>(),
+        0..16u64,
     )
+        .prop_map(
+            |(arm_depth, depth, arm_delay, min_us, arm_feasibility, min_flushes)| ShedPolicy {
+                max_queue_depth: arm_depth.then_some(depth),
+                min_warming_delay: arm_delay.then(|| Duration::from_micros(min_us)),
+                feasibility: arm_feasibility.then_some(FeasibilityPolicy { min_flushes }),
+            },
+        )
+}
+
+/// An arbitrary lane view; the estimate is absent (below the cold-start
+/// gate) or any latency up to 50 ms.
+fn lane_view() -> impl Strategy<Value = LaneView> {
+    (
+        0..96usize,
+        1..64usize,
+        1..16usize,
+        any::<bool>(),
+        any::<bool>(),
+        0..50_000u64,
+    )
+        .prop_map(
+            |(queue_depth, queue_cap, max_batch, warming, timed, estimate_us)| LaneView {
+                queue_depth,
+                queue_cap,
+                max_batch,
+                warming,
+                flush_estimate: timed.then(|| Duration::from_micros(estimate_us)),
+            },
+        )
+}
+
+fn admit_request() -> impl Strategy<Value = AdmitRequest> {
+    (0..300_000u64, any::<bool>(), any::<bool>()).prop_map(|(delay_us, block, created_lane)| {
+        AdmitRequest {
+            delay: Duration::from_micros(delay_us),
+            block,
+            created_lane,
+        }
+    })
+}
+
+fn is_refusal(decision: AdmitDecision) -> bool {
+    matches!(decision, AdmitDecision::Refuse(_))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // More queued work never un-sheds: once the depth threshold refuses
-    // at depth `d`, it refuses at every depth above `d` too.
+    // More queued work never un-refuses: a request refused at depth `d`
+    // is still refused at every depth above `d`.
     #[test]
     fn shed_depth_is_monotone(
         policy in shed_policy(),
-        depth in 0..96usize,
+        lane in lane_view(),
+        request in admit_request(),
         extra in 0..96usize,
     ) {
-        if policy.sheds_on_depth(depth) {
+        if is_refusal(admit(&policy, lane, request)) {
+            let deeper = LaneView { queue_depth: lane.queue_depth + extra, ..lane };
             prop_assert!(
-                policy.sheds_on_depth(depth + extra),
-                "shed at depth {} but accepted at deeper {}",
-                depth,
-                depth + extra
+                is_refusal(admit(&policy, deeper, request)),
+                "refused at depth {} but not at deeper {}",
+                lane.queue_depth,
+                deeper.queue_depth
             );
         }
     }
 
-    // A tighter budget never un-sheds: once the warming-feasibility
-    // threshold refuses a delay budget, it refuses every shorter budget.
+    // A tighter budget never un-refuses: a request refused with delay
+    // budget `b` is still refused with every shorter budget.
     #[test]
     fn shed_warming_delay_is_anti_monotone(
         policy in shed_policy(),
-        delay_us in 0..300_000u64,
+        lane in lane_view(),
+        request in admit_request(),
         cut_us in 0..300_000u64,
     ) {
-        let delay = Duration::from_micros(delay_us);
-        let shorter = Duration::from_micros(delay_us.saturating_sub(cut_us));
-        if policy.sheds_on_warming_delay(delay) {
+        if is_refusal(admit(&policy, lane, request)) {
+            let shorter = AdmitRequest {
+                delay: request.delay.saturating_sub(Duration::from_micros(cut_us)),
+                ..request
+            };
             prop_assert!(
-                policy.sheds_on_warming_delay(shorter),
-                "shed at {:?} but accepted the shorter budget {:?}",
-                delay,
-                shorter
+                is_refusal(admit(&policy, lane, shorter)),
+                "refused at {:?} but not at the shorter budget {:?}",
+                request.delay,
+                shorter.delay
             );
         }
     }
 
-    // The full decision inherits both monotonicities: raising the queue
-    // depth or cutting the delay budget never flips a shed back to an
-    // accept (with the other inputs held fixed).
+    // All three loads at once: more depth, a shorter budget and a larger
+    // (or newly available) flush estimate never turn a refusal into an
+    // enqueue.
     #[test]
     fn full_decision_is_monotone_under_load(
         policy in shed_policy(),
-        depth in 0..96usize,
+        lane in lane_view(),
+        request in admit_request(),
         extra in 0..96usize,
-        delay_us in 0..300_000u64,
         cut_us in 0..300_000u64,
-        warming in any::<bool>(),
+        slower_us in 0..50_000u64,
     ) {
-        let delay = Duration::from_micros(delay_us);
-        let worse = Duration::from_micros(delay_us.saturating_sub(cut_us));
-        if policy.should_shed(depth, warming, delay, false) {
+        let slower = Duration::from_micros(slower_us);
+        let worse_lane = LaneView {
+            queue_depth: lane.queue_depth + extra,
+            flush_estimate: Some(lane.flush_estimate.unwrap_or(Duration::ZERO) + slower),
+            ..lane
+        };
+        let worse_request = AdmitRequest {
+            delay: request.delay.saturating_sub(Duration::from_micros(cut_us)),
+            ..request
+        };
+        if is_refusal(admit(&policy, lane, request)) {
+            let worse = admit(&policy, worse_lane, worse_request);
             prop_assert!(
-                policy.should_shed(depth + extra, warming, worse, false),
-                "shed at (depth {}, delay {:?}) but accepted the strictly \
-                 worse (depth {}, delay {:?})",
-                depth,
-                delay,
-                depth + extra,
-                worse
+                worse != AdmitDecision::Enqueue,
+                "refused {:?} / {:?} but enqueued the strictly worse {:?} / {:?}",
+                lane,
+                request,
+                worse_lane,
+                worse_request
             );
         }
     }
 
-    // The request that seeds a lane's warm-up is never shed, whatever the
-    // policy and however hopeless its budget looks — it *is* the template
-    // the plan gets built from, so refusing it would starve the shape.
+    // The request that seeds a lane's warm-up — its creator, or the first
+    // request into an empty warming lane — is never shed, refused as
+    // warming, or refused as infeasible, whatever the policy: it *is* the
+    // template the plan gets built from, so refusing it would starve the
+    // shape. Only a full queue can turn it away.
     #[test]
     fn seeding_requests_are_never_shed(
         policy in shed_policy(),
-        depth in 0..96usize,
-        delay_us in 0..300_000u64,
-        warming in any::<bool>(),
+        lane in lane_view(),
+        request in admit_request(),
+        creator in any::<bool>(),
     ) {
+        // Every case seeds: either the lane's creator at an arbitrary
+        // lane, or an arbitrary request into an empty warming lane.
+        let (lane, request) = if creator {
+            (lane, AdmitRequest { created_lane: true, ..request })
+        } else {
+            (LaneView { queue_depth: 0, warming: true, ..lane }, request)
+        };
+        let decision = admit(&policy, lane, request);
         prop_assert!(
-            !policy.should_shed(depth, warming, Duration::from_micros(delay_us), true),
-            "a lane-seeding request was shed by {:?}",
+            !matches!(
+                decision,
+                AdmitDecision::Refuse(
+                    SubmitRefusal::Shed | SubmitRefusal::LaneWarming | SubmitRefusal::Infeasible
+                )
+            ),
+            "a lane-seeding request got {:?} under {:?}",
+            decision,
             policy
         );
     }
 
-    // The decision decomposes exactly into its published components, and
-    // a disabled policy never sheds. Warming-delay infeasibility only
-    // applies while the lane is actually warming.
+    // A disabled policy sheds nothing: it queues, parks, pushes back on a
+    // full queue, or refuses a non-blocking caller at a warming lane.
     #[test]
-    fn decision_decomposes_into_components(
-        policy in shed_policy(),
-        depth in 0..96usize,
-        delay_us in 0..300_000u64,
-        warming in any::<bool>(),
-        seeds in any::<bool>(),
+    fn disabled_policy_only_queues_parks_or_pushes_back(
+        lane in lane_view(),
+        request in admit_request(),
     ) {
-        let delay = Duration::from_micros(delay_us);
-        let expect = !seeds
-            && (policy.sheds_on_depth(depth)
-                || (warming && policy.sheds_on_warming_delay(delay)));
-        prop_assert_eq!(policy.should_shed(depth, warming, delay, seeds), expect);
-        prop_assert!(!ShedPolicy::disabled().should_shed(depth, warming, delay, seeds));
-        if !warming {
-            prop_assert_eq!(
-                policy.should_shed(depth, false, delay, seeds),
-                !seeds && policy.sheds_on_depth(depth),
-                "warming-delay threshold leaked into a live lane's decision"
-            );
-        }
+        let decision = admit(&ShedPolicy::disabled(), lane, request);
+        prop_assert!(
+            matches!(
+                decision,
+                AdmitDecision::Enqueue
+                    | AdmitDecision::Park
+                    | AdmitDecision::Refuse(SubmitRefusal::Backpressure | SubmitRefusal::LaneWarming)
+            ),
+            "disabled policy decided {:?}",
+            decision
+        );
+    }
+
+    // A blocking request parks instead of refusing for room or warm-up:
+    // `BppsaService::submit_with_delay` relies on never seeing
+    // `Backpressure` or `LaneWarming`.
+    #[test]
+    fn blocking_requests_never_see_backpressure_or_warming(
+        policy in shed_policy(),
+        lane in lane_view(),
+        request in admit_request(),
+    ) {
+        let blocking = AdmitRequest { block: true, ..request };
+        let decision = admit(&policy, lane, blocking);
+        prop_assert!(
+            !matches!(
+                decision,
+                AdmitDecision::Refuse(SubmitRefusal::Backpressure | SubmitRefusal::LaneWarming)
+            ),
+            "blocking request got {:?}",
+            decision
+        );
+    }
+}
+
+/// One hand-written row per step of [`admit`]'s table, in table order.
+#[test]
+fn admit_table_rows() {
+    let ms = Duration::from_millis;
+    let armed = ShedPolicy {
+        max_queue_depth: Some(4),
+        min_warming_delay: Some(ms(5)),
+        feasibility: Some(FeasibilityPolicy { min_flushes: 1 }),
+    };
+    let live = LaneView {
+        queue_depth: 2,
+        queue_cap: 8,
+        max_batch: 2,
+        warming: false,
+        flush_estimate: Some(ms(10)),
+    };
+    let warming = LaneView {
+        warming: true,
+        flush_estimate: None,
+        ..live
+    };
+    let blocking = AdmitRequest {
+        delay: ms(100),
+        block: true,
+        created_lane: false,
+    };
+    let non_blocking = AdmitRequest {
+        block: false,
+        ..blocking
+    };
+    let refuse = AdmitDecision::Refuse;
+    let rows = [
+        // 1. Seeding skips 2–5: the creator at a deep lane with a hopeless
+        //    budget, and the first request into an empty warming lane.
+        (
+            "creator skips shedding",
+            admit(
+                &armed,
+                LaneView {
+                    queue_depth: 6,
+                    ..live
+                },
+                AdmitRequest {
+                    delay: ms(0),
+                    created_lane: true,
+                    ..non_blocking
+                },
+            ),
+            AdmitDecision::Enqueue,
+        ),
+        (
+            "first request seeds an empty warming lane",
+            admit(
+                &armed,
+                LaneView {
+                    queue_depth: 0,
+                    ..warming
+                },
+                non_blocking,
+            ),
+            AdmitDecision::Enqueue,
+        ),
+        // 2. Depth at the threshold sheds, before any other check.
+        (
+            "depth threshold",
+            admit(
+                &armed,
+                LaneView {
+                    queue_depth: 4,
+                    ..warming
+                },
+                non_blocking,
+            ),
+            refuse(SubmitRefusal::Shed),
+        ),
+        // 3. A warming lane refuses non-blocking callers.
+        (
+            "warming, non-blocking",
+            admit(&armed, warming, non_blocking),
+            refuse(SubmitRefusal::LaneWarming),
+        ),
+        // 4. A warming lane sheds blocking callers below the warm-up budget.
+        (
+            "warming, blocking, short budget",
+            admit(
+                &armed,
+                warming,
+                AdmitRequest {
+                    delay: ms(4),
+                    ..blocking
+                },
+            ),
+            refuse(SubmitRefusal::Shed),
+        ),
+        // 5. Two queued at width 2 with a 10 ms estimate: 10 ms predicted,
+        //    so 9 ms is infeasible (and exactly 10 ms is still feasible).
+        (
+            "predicted wait over budget",
+            admit(
+                &armed,
+                live,
+                AdmitRequest {
+                    delay: ms(9),
+                    ..blocking
+                },
+            ),
+            refuse(SubmitRefusal::Infeasible),
+        ),
+        (
+            "predicted wait equal to budget",
+            admit(
+                &armed,
+                live,
+                AdmitRequest {
+                    delay: ms(10),
+                    ..blocking
+                },
+            ),
+            AdmitDecision::Enqueue,
+        ),
+        // 6. Room enqueues; a full queue parks blocking callers and pushes
+        //    back on non-blocking ones.
+        (
+            "room",
+            admit(&ShedPolicy::disabled(), live, non_blocking),
+            AdmitDecision::Enqueue,
+        ),
+        (
+            "full, blocking",
+            admit(
+                &ShedPolicy::disabled(),
+                LaneView {
+                    queue_depth: 8,
+                    ..live
+                },
+                blocking,
+            ),
+            AdmitDecision::Park,
+        ),
+        (
+            "full, non-blocking",
+            admit(
+                &ShedPolicy::disabled(),
+                LaneView {
+                    queue_depth: 8,
+                    ..live
+                },
+                non_blocking,
+            ),
+            refuse(SubmitRefusal::Backpressure),
+        ),
+    ];
+    for (row, got, want) in rows {
+        assert_eq!(got, want, "row `{row}`");
     }
 }
 
@@ -251,7 +500,6 @@ proptest! {
 
 use bppsa_serve::{
     ewma_update, predicted_wait, BrownoutLevel, BrownoutPolicy, BrownoutSignal, BrownoutState,
-    FeasibilityPolicy,
 };
 
 fn feasibility() -> impl Strategy<Value = FeasibilityPolicy> {
