@@ -21,7 +21,7 @@ fn pruned_chain() -> JacobianChain<f32> {
         let mut conv = Conv2d::<f32>::new(Conv2dConfig::vgg_style(ch, ch, (hw, hw)), &mut rng);
         prune_operator(&mut conv, 0.97);
         let y = conv.forward(&x);
-        chain_elems.push(ScanElement::Sparse(conv.transposed_jacobian_pruned()));
+        chain_elems.push(ScanElement::Sparse(conv.transposed_jacobian(&x, &y)));
         let relu = Relu::new(vec![ch, hw, hw]);
         let y_relu = Operator::<f32>::forward(&relu, &y);
         chain_elems.push(ScanElement::Sparse(relu.transposed_jacobian(&y, &y_relu)));

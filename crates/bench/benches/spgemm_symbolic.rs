@@ -39,11 +39,6 @@ fn bench_spgemm(c: &mut Criterion) {
 
     for (label, prune) in [("guaranteed_pattern", false), ("pruned90", true)] {
         let (a, b) = conv_jacobians(prune);
-        let (a, b) = if prune {
-            (a.pruned(), b.pruned())
-        } else {
-            (a, b)
-        };
         group.bench_function(format!("generic/{label}"), |bench| {
             bench.iter(|| spgemm(std::hint::black_box(&a), std::hint::black_box(&b)))
         });

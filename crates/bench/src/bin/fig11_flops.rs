@@ -35,14 +35,14 @@ fn main() {
     }
 
     // Forward through conv→relu→(pool) to collect activations, building the
-    // chain as we go: conv Jacobians via the pruned generator, relu/pool via
-    // the standard analytic generators (their patterns are already tiny).
+    // chain as we go: conv Jacobians over the frozen pruning masks, relu/pool
+    // via the standard analytic generators (their patterns are already tiny).
     let pool_after = [true, true, false, true, false, true, false, true];
     let mut x: Tensor<f32> = uniform_tensor(&mut rng, vec![3, scale, scale], 1.0);
     let mut elements: Vec<ScanElement<f32>> = Vec::new();
     for (i, conv) in convs.iter().enumerate() {
         let y = conv.forward(&x);
-        elements.push(ScanElement::Sparse(conv.transposed_jacobian_pruned()));
+        elements.push(ScanElement::Sparse(conv.transposed_jacobian(&x, &y)));
         let shape = conv.output_shape().to_vec();
         let relu = Relu::new(shape.clone());
         let y_relu = Operator::<f32>::forward(&relu, &y);

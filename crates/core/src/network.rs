@@ -174,8 +174,11 @@ impl<S: Scalar> Network<S> {
     /// Builds a [`crate::PlannedScan`] for this network's backward pass from
     /// one representative forward pass (the symbolic phase of §3.3, hoisted
     /// out of the training loop — see DESIGN.md §9). Valid for the life of
-    /// the architecture: operators emit guaranteed-pattern Jacobians, so the
-    /// plan holds across weight updates and inputs.
+    /// the architecture *and its pruning masks*: operators emit
+    /// guaranteed-pattern Jacobians (a frozen mask included, see
+    /// [`Operator::freeze_pruning_mask`]), so the plan holds across weight
+    /// updates and inputs. Pruning further re-freezes a mask and changes the
+    /// patterns; plan again after that.
     pub fn plan_backward(&self, tape: &Tape<S>, opts: BppsaOptions) -> crate::PlannedScan {
         let probe = Vector::zeros(self.output_len());
         let chain = self.build_chain(tape, &probe, JacobianRepr::Sparse);
@@ -187,7 +190,9 @@ impl<S: Scalar> Network<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the plan was built for a different architecture.
+    /// Panics if the plan does not [match](crate::PlannedScan::matches) the
+    /// chain's patterns: it was built for a different architecture, or a
+    /// pruning mask was re-frozen after planning.
     pub fn backward_bppsa_planned(
         &self,
         tape: &Tape<S>,
@@ -195,6 +200,11 @@ impl<S: Scalar> Network<S> {
         plan: &crate::PlannedScan,
     ) -> Gradients<S> {
         let chain = self.build_chain(tape, grad_output, JacobianRepr::Sparse);
+        assert!(
+            plan.matches(&chain),
+            "Network: plan does not match this network's Jacobian patterns \
+             (re-plan after re-pruning or changing the architecture)"
+        );
         let result = plan.execute(&chain);
         self.gradients_from_activation_grads(tape, result.grads().to_vec())
     }

@@ -12,7 +12,9 @@
 //! compiled numeric program, fanned across the pool, allocate nothing.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
-//! test thread can pollute the process-wide counters.
+//! test thread can pollute the process-wide counters. Pool workers count
+//! too, so [`touch_every_worker`] makes sure each has started and run a
+//! task before any counted window.
 
 use bppsa_core::{BatchedBackward, BppsaOptions, JacobianChain, PlannedScan, ScanElement};
 use bppsa_sparse::Csr;
@@ -53,6 +55,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Blocks until every worker of the global pool has started and run a
+/// task. A freshly spawned worker allocates and frees on its first run
+/// (thread start-up), and a pooled warm-up can finish on the caller before
+/// a worker ever wakes; one task per worker, held at a barrier until all
+/// of them (and the caller) arrived, rules that out.
+fn touch_every_worker() {
+    let pool = bppsa_scan::global_pool();
+    let arrived = std::sync::Barrier::new(pool.size() + 1);
+    pool.run_indexed(pool.size() + 1, &|_| {
+        arrived.wait();
+    });
+}
 
 /// Runs `f` with counting enabled, returning `(allocs, deallocs)`.
 fn counted(f: impl FnOnce()) -> (u64, u64) {
@@ -186,6 +201,7 @@ fn steady_state_planned_backward_is_allocation_free() {
     let mut pws = pooled.workspace::<f64>();
     let _ = pooled.execute_with(&chain, &mut pws); // spawns/warms the pool
     let _ = pooled.execute_with(&chain, &mut pws);
+    touch_every_worker();
 
     let (pallocs, pdeallocs) = counted(|| {
         let _ = pooled.execute_with(&chain, &mut pws);

@@ -5,7 +5,10 @@
 //! The paper prunes 97% of conv/linear weights of VGG-11, retrains, and
 //! observes that the pruned weights make the analytically-generated
 //! transposed Jacobians sparser — shrinking BPPSA's per-step cost
-//! (Figure 11).
+//! (Figure 11). Pruning here ends by freezing the zeroed weights as each
+//! operator's mask ([`Operator::freeze_pruning_mask`]): retraining keeps
+//! them at zero, and the Jacobian patterns a scan plan is built over leave
+//! them out.
 
 use bppsa_core::Network;
 use bppsa_ops::Operator;
@@ -39,8 +42,9 @@ pub fn prune_slice<S: Scalar>(weights: &mut [S], fraction: f64) -> usize {
 }
 
 /// Prunes one operator's weight portion (its [`Operator::prunable_len`]
-/// leading parameters) to the given sparsity fraction. Returns the number
-/// of zeroed weights.
+/// leading parameters) to the given sparsity fraction, then freezes every
+/// zero weight as the operator's pruning mask. Returns the number of
+/// weights zeroed by this call.
 pub fn prune_operator<S: Scalar>(op: &mut dyn Operator<S>, fraction: f64) -> usize {
     let prunable = op.prunable_len();
     if prunable == 0 {
@@ -49,6 +53,7 @@ pub fn prune_operator<S: Scalar>(op: &mut dyn Operator<S>, fraction: f64) -> usi
     let mut params = op.params();
     let zeroed = prune_slice(&mut params[..prunable], fraction);
     op.set_params(&params);
+    op.freeze_pruning_mask();
     zeroed
 }
 
@@ -128,9 +133,10 @@ mod tests {
         // so 97% weight sparsity → ≈97% fewer Jacobian non-zeros.
         let mut rng = seeded_rng(2);
         let mut conv = Conv2d::<f32>::new(Conv2dConfig::vgg_style(2, 4, (8, 8)), &mut rng);
-        let dense_nnz = conv.transposed_jacobian_pruned().nnz();
+        let x = bppsa_tensor::init::uniform_tensor(&mut rng, vec![2, 8, 8], 1.0);
+        let dense_nnz = conv.transposed_jacobian(&x, &conv.forward(&x)).nnz();
         prune_operator(&mut conv, 0.97);
-        let pruned_nnz = conv.transposed_jacobian_pruned().nnz();
+        let pruned_nnz = conv.transposed_jacobian(&x, &conv.forward(&x)).nnz();
         let ratio = pruned_nnz as f64 / dense_nnz as f64;
         assert!(ratio < 0.08, "ratio {ratio}");
     }

@@ -8,12 +8,16 @@
 //! then output column), so no post-sort is needed.
 //!
 //! The Jacobian's values depend **only on the filter weights** (Algorithm 4's
-//! key property), which is why pruned networks shrink it: zeroed weights
-//! become explicit zeros that [`bppsa_sparse::Csr::pruned`] drops (§4.2).
+//! key property): every stored entry is one weight. So the pattern and a
+//! weight-gather map are built once per layer and each call is one gather,
+//! and a pruned layer shrinks it (§4.2): [`Operator::freeze_pruning_mask`]
+//! freezes the zeroed weights as a mask, and the pattern then leaves out
+//! every entry a masked weight would fill.
 
 use crate::geometry::receptive_range;
+use crate::mask::WeightMask;
 use crate::operator::{check_input_shape, Operator};
-use bppsa_sparse::Csr;
+use bppsa_sparse::{Csr, SparsityPattern};
 use bppsa_tensor::{init, Scalar, Tensor, Vector};
 use rand::rngs::StdRng;
 
@@ -92,6 +96,7 @@ pub struct Conv2d<S> {
     bias: Vector<S>,
     input_shape: Vec<usize>,
     output_shape: Vec<usize>,
+    mask: WeightMask,
 }
 
 impl<S: Scalar> Conv2d<S> {
@@ -129,6 +134,7 @@ impl<S: Scalar> Conv2d<S> {
             bias,
             input_shape: vec![cfg.in_channels, hi, wi],
             output_shape: vec![cfg.out_channels, ho, wo],
+            mask: WeightMask::default(),
         }
     }
 
@@ -142,57 +148,48 @@ impl<S: Scalar> Conv2d<S> {
         &self.weight
     }
 
-    /// Mutable weights (used by pruning).
-    pub fn weight_mut(&mut self) -> &mut Tensor<S> {
-        &mut self.weight
-    }
-
     /// The bias vector.
     pub fn bias(&self) -> &Vector<S> {
         &self.bias
     }
 
     /// Number of structural non-zeros of the transposed Jacobian, computed
-    /// in closed form: `c_i · c_o · (Σ_iy cnt(iy)) · (Σ_ix cnt(ix))`.
+    /// in closed form: each unmasked filter tap `(c, ic, k_y, k_x)` fills
+    /// one entry per output position it reaches, `reach_y(k_y) ·
+    /// reach_x(k_x)` of them. Without a frozen mask this is
+    /// `c_i · c_o · (Σ reach_y) · (Σ reach_x)`.
     pub fn jacobian_nnz(&self) -> usize {
         let (hi, wi) = self.cfg.input_hw;
         let (ho, wo) = self.cfg.output_hw();
         let (kh, kw) = self.cfg.kernel;
         let (sh, sw) = self.cfg.stride;
         let (ph, pw) = self.cfg.padding;
-        let sum_h: usize = (0..hi)
-            .map(|iy| {
-                let (lo, hi_) = receptive_range(iy, ph, kh, sh, ho);
-                hi_.saturating_sub(lo)
-                    .saturating_add(if lo <= hi_ { 1 } else { 0 })
-            })
-            .sum();
-        let sum_w: usize = (0..wi)
-            .map(|ix| {
-                let (lo, hi_) = receptive_range(ix, pw, kw, sw, wo);
-                hi_.saturating_sub(lo)
-                    .saturating_add(if lo <= hi_ { 1 } else { 0 })
-            })
-            .sum();
-        self.cfg.in_channels * self.cfg.out_channels * sum_h * sum_w
+        // Output positions `o` whose tap `k` lands inside the input.
+        let reach = |k: usize, s: usize, p: usize, input: usize, out: usize| {
+            (0..out)
+                .filter(|&o| (p..p + input).contains(&(o * s + k)))
+                .count()
+        };
+        let reach_y: Vec<usize> = (0..kh).map(|ky| reach(ky, sh, ph, hi, ho)).collect();
+        let reach_x: Vec<usize> = (0..kw).map(|kx| reach(kx, sw, pw, wi, wo)).collect();
+        (0..self.weight.numel())
+            .filter(|&k| self.mask.keeps(k))
+            .map(|k| reach_y[(k / kw) % kh] * reach_x[k % kw])
+            .sum()
     }
 
-    /// Generates the transposed Jacobian with zero-valued weights *skipped*
-    /// instead of stored — the §4.2 path for pruned networks, where 97% of
-    /// filter weights are zero and materializing the guaranteed pattern
-    /// first would waste two orders of magnitude of memory.
-    ///
-    /// Equivalent to `self.transposed_jacobian(..).pruned()` (tested), but
-    /// generated directly in one sweep.
+    /// The transposed Jacobian's pattern over the unmasked weights,
+    /// with each entry's weight index (the generalization of Algorithms
+    /// 2–4). Rows are emitted in ascending column order: output
+    /// channel-major, then output row, then output column.
     #[allow(clippy::needless_range_loop)] // iy/ix also feed the ky/kx arithmetic
-    pub fn transposed_jacobian_pruned(&self) -> Csr<S> {
+    fn jacobian_structure(&self) -> (SparsityPattern, Vec<u32>) {
         let (ci, co) = (self.cfg.in_channels, self.cfg.out_channels);
         let (hi, wi) = self.cfg.input_hw;
         let (ho, wo) = self.cfg.output_hw();
         let (kh, kw) = self.cfg.kernel;
         let (sh, sw) = self.cfg.stride;
         let (ph, pw) = self.cfg.padding;
-        let w = self.weight.as_slice();
 
         let cnt_y: Vec<(usize, usize)> = (0..hi)
             .map(|iy| receptive_range(iy, ph, kh, sh, ho))
@@ -202,9 +199,10 @@ impl<S: Scalar> Conv2d<S> {
             .collect();
 
         let rows = ci * hi * wi;
+        let nnz = self.jacobian_nnz();
         let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices: Vec<u32> = Vec::new();
-        let mut data: Vec<S> = Vec::new();
+        let mut indices = Vec::with_capacity(nnz);
+        let mut gather = Vec::with_capacity(nnz);
         indptr.push(0);
         for ic in 0..ci {
             for iy in 0..hi {
@@ -218,10 +216,10 @@ impl<S: Scalar> Conv2d<S> {
                             let mut ox = ox_lo;
                             while ox <= ox_hi && ox_lo <= ox_hi {
                                 let kx = ix + pw - ox * sw;
-                                let wv = w[((c * ci + ic) * kh + ky) * kw + kx];
-                                if wv != S::ZERO {
+                                let k = ((c * ci + ic) * kh + ky) * kw + kx;
+                                if self.mask.keeps(k) {
                                     indices.push(((c * ho + oy) * wo + ox) as u32);
-                                    data.push(wv);
+                                    gather.push(k as u32);
                                 }
                                 ox += 1;
                             }
@@ -232,7 +230,10 @@ impl<S: Scalar> Conv2d<S> {
                 }
             }
         }
-        Csr::from_parts_unchecked(rows, co * ho * wo, indptr, indices, data)
+        (
+            SparsityPattern::new(rows, co * ho * wo, indptr, indices),
+            gather,
+        )
     }
 
     /// The paper's Table 1 closed-form sparsity *approximation*
@@ -341,68 +342,10 @@ impl<S: Scalar> Operator<S> for Conv2d<S> {
         gx
     }
 
-    #[allow(clippy::needless_range_loop)] // iy/ix also feed the ky/kx arithmetic
     fn transposed_jacobian(&self, input: &Tensor<S>, _output: &Tensor<S>) -> Csr<S> {
         check_input_shape("conv2d", &self.input_shape, input);
-        let (ci, co) = (self.cfg.in_channels, self.cfg.out_channels);
-        let (hi, wi) = self.cfg.input_hw;
-        let (ho, wo) = self.cfg.output_hw();
-        let (kh, kw) = self.cfg.kernel;
-        let (sh, sw) = self.cfg.stride;
-        let (ph, pw) = self.cfg.padding;
-        let w = self.weight.as_slice();
-
-        // Pass 1 — analytic indptr (the generalization of Algorithm 2):
-        // row (ic, iy, ix) has co · cnt(iy) · cnt(ix) entries.
-        let rows = ci * hi * wi;
-        let cnt_y: Vec<(usize, usize)> = (0..hi)
-            .map(|iy| receptive_range(iy, ph, kh, sh, ho))
-            .collect();
-        let cnt_x: Vec<(usize, usize)> = (0..wi)
-            .map(|ix| receptive_range(ix, pw, kw, sw, wo))
-            .collect();
-        let span = |(lo, hi_): (usize, usize)| hi_.saturating_sub(lo) + usize::from(lo <= hi_);
-
-        let mut indptr = Vec::with_capacity(rows + 1);
-        indptr.push(0usize);
-        let mut nnz = 0usize;
-        for _ic in 0..ci {
-            for iy in 0..hi {
-                let ny = span(cnt_y[iy]);
-                for ix in 0..wi {
-                    nnz += co * ny * span(cnt_x[ix]);
-                    indptr.push(nnz);
-                }
-            }
-        }
-
-        // Pass 2 — indices and data (Algorithms 3 and 4): emit in ascending
-        // column order (co-major, then oy, then ox — all loops ascending).
-        let mut indices = Vec::with_capacity(nnz);
-        let mut data = Vec::with_capacity(nnz);
-        for ic in 0..ci {
-            for iy in 0..hi {
-                let (oy_lo, oy_hi) = cnt_y[iy];
-                for ix in 0..wi {
-                    let (ox_lo, ox_hi) = cnt_x[ix];
-                    for c in 0..co {
-                        let mut oy = oy_lo;
-                        while oy <= oy_hi && oy_lo <= oy_hi {
-                            let ky = iy + ph - oy * sh;
-                            let mut ox = ox_lo;
-                            while ox <= ox_hi && ox_lo <= ox_hi {
-                                let kx = ix + pw - ox * sw;
-                                indices.push(((c * ho + oy) * wo + ox) as u32);
-                                data.push(w[((c * ci + ic) * kh + ky) * kw + kx]);
-                                ox += 1;
-                            }
-                            oy += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Csr::from_parts_unchecked(rows, co * ho * wo, indptr, indices, data)
+        self.mask
+            .transposed_jacobian(self.weight.as_slice(), || self.jacobian_structure())
     }
 
     fn guaranteed_sparsity(&self) -> f64 {
@@ -435,7 +378,12 @@ impl<S: Scalar> Operator<S> for Conv2d<S> {
             "conv2d: wrong parameter count"
         );
         self.weight.as_mut_slice().copy_from_slice(&params[..wlen]);
+        self.mask.apply(self.weight.as_mut_slice());
         self.bias.as_mut_slice().copy_from_slice(&params[wlen..]);
+    }
+
+    fn freeze_pruning_mask(&mut self) {
+        self.mask.freeze(self.weight.as_slice());
     }
 
     fn param_grad(
@@ -495,6 +443,7 @@ mod tests {
         transposed_jacobian_via_vjp,
     };
     use bppsa_tensor::init::seeded_rng;
+    use std::sync::Arc;
 
     fn small_conv(cfg: Conv2dConfig, seed: u64) -> Conv2d<f64> {
         Conv2d::new(cfg, &mut seeded_rng(seed))
@@ -662,38 +611,72 @@ mod tests {
         assert_eq!(j1, j2);
     }
 
+    /// Zeroes every `step`-th weight through `set_params`.
+    fn zero_every(conv: &mut Conv2d<f64>, step: usize) {
+        let mut p = conv.params();
+        for v in p[..conv.prunable_len()].iter_mut().step_by(step) {
+            *v = 0.0;
+        }
+        conv.set_params(&p);
+    }
+
     #[test]
     fn pruned_weights_shrink_jacobian() {
         let mut conv = small_conv(Conv2dConfig::vgg_style(2, 2, (5, 5)), 31);
         let x = random_input(&conv, 32);
         let before = conv.transposed_jacobian(&x, &conv.forward(&x));
-        // Zero half the filter weights.
-        {
-            let w = conv.weight_mut().as_mut_slice();
-            for v in w.iter_mut().step_by(2) {
-                *v = 0.0;
-            }
-        }
-        let after = conv.transposed_jacobian(&x, &conv.forward(&x));
-        // Same guaranteed pattern, but pruning drops explicit zeros.
-        assert!(after.same_pattern(&before));
-        assert!(after.pruned().nnz() < before.pruned().nnz());
+        zero_every(&mut conv, 2);
+        // Zeroed but not frozen: same guaranteed pattern, explicit zeros.
+        let zeroed = conv.transposed_jacobian(&x, &conv.forward(&x));
+        assert!(Arc::ptr_eq(zeroed.pattern_ref(), before.pattern_ref()));
+        assert!(zeroed.pruned().nnz() < before.nnz());
+        // Frozen: the zeros leave the pattern.
+        conv.freeze_pruning_mask();
+        let frozen = conv.transposed_jacobian(&x, &conv.forward(&x));
+        assert!(frozen.nnz() < before.nnz());
+        assert!(!frozen.same_pattern(&before));
     }
 
     #[test]
     fn direct_pruned_generation_matches_prune_after() {
+        // The frozen layer's Jacobian is the un-frozen layer's with its
+        // zeros dropped, and the closed forms report the masked pattern.
         let mut conv = small_conv(Conv2dConfig::vgg_style(2, 3, (6, 5)), 51);
-        {
-            let w = conv.weight_mut().as_mut_slice();
-            for v in w.iter_mut().step_by(3) {
-                *v = 0.0;
-            }
-        }
+        zero_every(&mut conv, 3);
+        let unfrozen = conv.clone();
+        conv.freeze_pruning_mask();
         let x = random_input(&conv, 52);
-        let via_pattern = conv.transposed_jacobian(&x, &conv.forward(&x)).pruned();
-        let direct = conv.transposed_jacobian_pruned();
-        assert_eq!(direct.validate(), Ok(()));
-        assert_eq!(direct, via_pattern);
+        let y = conv.forward(&x);
+        let frozen = conv.transposed_jacobian(&x, &y);
+        assert_eq!(frozen.validate(), Ok(()));
+        assert_eq!(frozen, unfrozen.transposed_jacobian(&x, &y).pruned());
+        assert_eq!(frozen.nnz(), conv.jacobian_nnz());
+        assert!(conv.jacobian_nnz() < unfrozen.jacobian_nnz());
+        let total = (conv.input_len() * Operator::<f64>::output_len(&conv)) as f64;
+        assert_eq!(
+            conv.guaranteed_sparsity(),
+            1.0 - frozen.nnz() as f64 / total
+        );
+    }
+
+    #[test]
+    fn frozen_mask_survives_set_params_and_shares_one_pattern() {
+        let mut conv = small_conv(Conv2dConfig::vgg_style(2, 3, (6, 5)), 51);
+        zero_every(&mut conv, 3);
+        conv.freeze_pruning_mask();
+        let x = random_input(&conv, 52);
+        let j1 = conv.transposed_jacobian(&x, &conv.forward(&x));
+        // An optimizer step writes every weight; the masked ones stay zero.
+        let stepped: Vec<f64> = conv.params().iter().map(|v| v + 0.5).collect();
+        conv.set_params(&stepped);
+        let w = conv.weight().as_slice();
+        assert!(w.iter().step_by(3).all(|&v| v == 0.0));
+        assert!(w.iter().skip(1).step_by(3).all(|&v| v != 0.0));
+        // Same pattern `Arc`, fresh values.
+        let j2 = conv.transposed_jacobian(&x, &conv.forward(&x));
+        assert!(Arc::ptr_eq(j1.pattern_ref(), j2.pattern_ref()));
+        assert_ne!(j1.data(), j2.data());
+        assert!(j2.data().iter().all(|&v| v != 0.0));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The flatten operator (e.g. between VGG/LeNet feature extractors and
 //! their classifier heads). With row-major storage this is a data no-op, so
 //! its transposed Jacobian is the identity matrix — the cheapest possible
-//! scan element.
+//! scan element. Its pattern is built once and shared by every call.
 
+use crate::mask::cached_diagonal;
 use crate::operator::{check_input_shape, Operator};
-use bppsa_sparse::Csr;
+use bppsa_sparse::{Csr, SparsityPattern};
 use bppsa_tensor::{Scalar, Tensor, Vector};
+use std::sync::{Arc, OnceLock};
 
 /// Reshapes `(d₀, d₁, …)` tensors into 1-D vectors of the same length.
 ///
@@ -23,6 +25,7 @@ use bppsa_tensor::{Scalar, Tensor, Vector};
 pub struct Flatten {
     input_shape: Vec<usize>,
     output_shape: Vec<usize>,
+    pattern: OnceLock<Arc<SparsityPattern>>,
 }
 
 impl Flatten {
@@ -33,6 +36,7 @@ impl Flatten {
         Self {
             input_shape,
             output_shape: vec![len],
+            pattern: OnceLock::new(),
         }
     }
 }
@@ -60,7 +64,8 @@ impl<S: Scalar> Operator<S> for Flatten {
     }
 
     fn transposed_jacobian(&self, _input: &Tensor<S>, _output: &Tensor<S>) -> Csr<S> {
-        Csr::identity(self.output_shape[0])
+        let n = self.output_shape[0];
+        Csr::from_pattern_and_values(cached_diagonal(&self.pattern, n), vec![S::ONE; n])
     }
 
     fn guaranteed_sparsity(&self) -> f64 {
@@ -94,6 +99,8 @@ mod tests {
         let y = f.forward(&x);
         let j: Csr<f64> = f.transposed_jacobian(&x, &y);
         assert_eq!(j, Csr::identity(6));
+        let again: Csr<f64> = f.transposed_jacobian(&x, &y);
+        assert!(Arc::ptr_eq(j.pattern_ref(), again.pattern_ref()));
     }
 
     #[test]

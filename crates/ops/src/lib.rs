@@ -34,6 +34,7 @@ mod flatten;
 mod geometry;
 mod linear;
 mod loss;
+mod mask;
 mod maxpool;
 mod operator;
 mod relu;

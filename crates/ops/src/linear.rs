@@ -1,12 +1,13 @@
 //! The fully-connected (linear/dense) operator `y = W·x + b`.
 //!
 //! Its transposed Jacobian w.r.t. the input is simply `Wᵀ` — dense in
-//! general, but pruning (§4.2) introduces explicit zeros that
-//! [`bppsa_sparse::Csr::pruned`] can drop, which is how the pruned-VGG
-//! experiment benefits.
+//! general. Freezing a pruning mask (§4.2,
+//! [`Operator::freeze_pruning_mask`]) leaves the masked weights out of its
+//! pattern, which is how the pruned-VGG experiment benefits.
 
+use crate::mask::WeightMask;
 use crate::operator::{check_input_shape, Operator};
-use bppsa_sparse::Csr;
+use bppsa_sparse::{Csr, SparsityPattern};
 use bppsa_tensor::{init, Matrix, Scalar, Tensor, Vector};
 use rand::rngs::StdRng;
 
@@ -31,6 +32,7 @@ pub struct Linear<S> {
     bias: Vector<S>,
     input_shape: Vec<usize>,
     output_shape: Vec<usize>,
+    mask: WeightMask,
 }
 
 impl<S: Scalar> Linear<S> {
@@ -61,6 +63,7 @@ impl<S: Scalar> Linear<S> {
             bias,
             input_shape: vec![in_features],
             output_shape: vec![out_features],
+            mask: WeightMask::default(),
         }
     }
 
@@ -69,14 +72,42 @@ impl<S: Scalar> Linear<S> {
         &self.weight
     }
 
-    /// Mutable weight matrix (used by pruning).
-    pub fn weight_mut(&mut self) -> &mut Matrix<S> {
-        &mut self.weight
-    }
-
     /// The bias vector.
     pub fn bias(&self) -> &Vector<S> {
         &self.bias
+    }
+
+    /// Number of structural non-zeros of the transposed Jacobian: one per
+    /// unmasked weight.
+    pub fn jacobian_nnz(&self) -> usize {
+        (0..self.weight.numel())
+            .filter(|&k| self.mask.keeps(k))
+            .count()
+    }
+
+    /// `Wᵀ`'s pattern over the unmasked weights, with each entry's weight
+    /// index: row `i` (input feature) holds column `j` (output feature)
+    /// for every kept `W[j][i]`.
+    fn jacobian_structure(&self) -> (SparsityPattern, Vec<u32>) {
+        let (out_features, in_features) = self.weight.shape();
+        let mut indptr = Vec::with_capacity(in_features + 1);
+        let mut indices = Vec::with_capacity(self.jacobian_nnz());
+        let mut gather = Vec::with_capacity(indices.capacity());
+        indptr.push(0);
+        for i in 0..in_features {
+            for j in 0..out_features {
+                let k = j * in_features + i;
+                if self.mask.keeps(k) {
+                    indices.push(j as u32);
+                    gather.push(k as u32);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        (
+            SparsityPattern::new(in_features, out_features, indptr, indices),
+            gather,
+        )
     }
 }
 
@@ -105,14 +136,19 @@ impl<S: Scalar> Operator<S> for Linear<S> {
     }
 
     fn transposed_jacobian(&self, _input: &Tensor<S>, _output: &Tensor<S>) -> Csr<S> {
-        // Wᵀ with the *full* dense pattern kept: every position is a
-        // guaranteed nonzero (any weight may be nonzero); prune explicitly
-        // when weights are known to be masked.
-        Csr::from_dense_pattern(&self.weight.transposed())
+        // Wᵀ over every unmasked weight: any of them may be nonzero, so
+        // zero-valued ones stay stored; a frozen mask's weights are
+        // guaranteed zero and left out.
+        self.mask
+            .transposed_jacobian(self.weight.as_slice(), || self.jacobian_structure())
     }
 
     fn guaranteed_sparsity(&self) -> f64 {
-        0.0
+        let total = self.weight.numel();
+        if total == 0 {
+            return 0.0;
+        }
+        1.0 - self.jacobian_nnz() as f64 / total as f64
     }
 
     fn param_len(&self) -> usize {
@@ -137,7 +173,12 @@ impl<S: Scalar> Operator<S> for Linear<S> {
             "linear: wrong parameter count"
         );
         self.weight.as_mut_slice().copy_from_slice(&params[..wlen]);
+        self.mask.apply(self.weight.as_mut_slice());
         self.bias.as_mut_slice().copy_from_slice(&params[wlen..]);
+    }
+
+    fn freeze_pruning_mask(&mut self) {
+        self.mask.freeze(self.weight.as_slice());
     }
 
     fn param_grad(
@@ -226,6 +267,29 @@ mod tests {
         for (a, n) in analytic.iter().zip(&numeric) {
             assert!((a - n).abs() < 1e-5, "param grad mismatch: {a} vs {n}");
         }
+    }
+
+    #[test]
+    fn frozen_mask_leaves_the_pattern_and_survives_set_params() {
+        let mut l = layer();
+        // W[1][0] is already 0.0; zero W[0][2] too, then freeze both.
+        let mut p = Operator::<f64>::params(&l);
+        p[2] = 0.0;
+        l.set_params(&p);
+        let unfrozen = l.clone();
+        l.freeze_pruning_mask();
+        let x = Tensor::from_vec(vec![3], vec![0.3, -0.6, 0.9]);
+        let y = l.forward(&x);
+        let j = l.transposed_jacobian(&x, &y);
+        assert_eq!(j, unfrozen.transposed_jacobian(&x, &y).pruned());
+        assert_eq!((j.nnz(), l.jacobian_nnz()), (4, 4));
+        assert_eq!(Operator::<f64>::guaranteed_sparsity(&l), 1.0 - 4.0 / 6.0);
+        // Every weight written; the masked two stay zero, the pattern stays.
+        l.set_params(&[1.0; 8]);
+        assert_eq!(l.weight().as_slice(), &[1.0, 1.0, 0.0, 0.0, 1.0, 1.0]);
+        let j2 = l.transposed_jacobian(&x, &y);
+        assert!(std::sync::Arc::ptr_eq(j.pattern_ref(), j2.pattern_ref()));
+        check_operator_consistency(&l, &x, 1e-12);
     }
 
     #[test]

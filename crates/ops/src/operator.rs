@@ -62,11 +62,16 @@ pub trait Operator<S: Scalar>: Send + Sync {
     /// CSR matrix whose pattern is the operator's *guaranteed-nonzero*
     /// pattern (deterministic, input-independent; §3.3). Input-dependent
     /// ("possible") zeros are stored explicitly so the pattern never changes
-    /// between iterations.
+    /// between iterations. A frozen pruning mask
+    /// ([`Operator::freeze_pruning_mask`]) is part of the guaranteed
+    /// pattern: masked weights are zero for good, so their entries are left
+    /// out. Operators that can hand out the same pattern `Arc` on every
+    /// call, so a scan plan built over one chain matches later chains by
+    /// pointer.
     fn transposed_jacobian(&self, input: &Tensor<S>, output: &Tensor<S>) -> Csr<S>;
 
     /// Fraction of guaranteed zeros in the Jacobian (Table 1), computed
-    /// exactly from the pattern size.
+    /// exactly from the pattern size (frozen pruning mask included).
     fn guaranteed_sparsity(&self) -> f64;
 
     /// Number of trainable parameters (0 for stateless operators).
@@ -86,7 +91,9 @@ pub trait Operator<S: Scalar>: Send + Sync {
         Vec::new()
     }
 
-    /// Overwrites the parameters from a flattened slice.
+    /// Overwrites the parameters from a flattened slice. Weights masked by
+    /// [`Operator::freeze_pruning_mask`] stay exactly zero whatever the
+    /// slice holds.
     ///
     /// # Panics
     ///
@@ -98,6 +105,13 @@ pub trait Operator<S: Scalar>: Send + Sync {
             self.name()
         );
     }
+
+    /// Freezes the currently-zero prunable weights as a pruning mask
+    /// (§4.2): from then on [`Operator::set_params`] keeps them at exactly
+    /// zero and [`Operator::transposed_jacobian`] leaves their entries out
+    /// of its pattern. Freezing again re-reads the zeros, so a mask only
+    /// grows. Defaults to a no-op (nothing prunable).
+    fn freeze_pruning_mask(&mut self) {}
 
     /// Parameter gradient `∇θ = (∂y/∂θ)^T · grad_output` (Equation 2),
     /// flattened in the same order as [`Operator::params`].

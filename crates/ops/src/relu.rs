@@ -3,11 +3,14 @@
 //! Table 1: the ReLU Jacobian's guaranteed zeros are everything off the
 //! diagonal — sparsity `1 − 1/(c·h·w)`. On-diagonal zeros (negative inputs)
 //! are input-dependent "possible zeros" and stay in the CSR pattern
-//! explicitly, keeping the pattern deterministic (§3.3).
+//! explicitly, keeping the pattern deterministic (§3.3). The layer builds
+//! that diagonal pattern once and shares it with every Jacobian it emits.
 
+use crate::mask::cached_diagonal;
 use crate::operator::{check_input_shape, Operator};
-use bppsa_sparse::Csr;
+use bppsa_sparse::{Csr, SparsityPattern};
 use bppsa_tensor::{Scalar, Tensor, Vector};
+use std::sync::{Arc, OnceLock};
 
 /// Elementwise rectified linear unit `y = max(x, 0)` over any tensor shape.
 ///
@@ -24,6 +27,7 @@ use bppsa_tensor::{Scalar, Tensor, Vector};
 #[derive(Debug, Clone)]
 pub struct Relu {
     shape: Vec<usize>,
+    pattern: OnceLock<Arc<SparsityPattern>>,
 }
 
 impl Relu {
@@ -31,6 +35,7 @@ impl Relu {
     pub fn new(shape: impl Into<Vec<usize>>) -> Self {
         Self {
             shape: shape.into(),
+            pattern: OnceLock::new(),
         }
     }
 }
@@ -72,7 +77,7 @@ impl<S: Scalar> Operator<S> for Relu {
             .iter()
             .map(|&v| if v > S::ZERO { S::ONE } else { S::ZERO })
             .collect();
-        Csr::from_diagonal(&diag)
+        Csr::from_pattern_and_values(cached_diagonal(&self.pattern, diag.len()), diag)
     }
 
     fn guaranteed_sparsity(&self) -> f64 {
@@ -151,6 +156,10 @@ mod tests {
         assert!(
             j1.same_pattern(&j2),
             "deterministic pattern required (§3.3)"
+        );
+        assert!(
+            Arc::ptr_eq(j1.pattern_ref(), j2.pattern_ref()),
+            "one shared pattern per layer"
         );
     }
 }

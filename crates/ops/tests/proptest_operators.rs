@@ -62,20 +62,23 @@ proptest! {
 
     #[test]
     fn conv_pruned_generation_matches(cfg in arb_conv_config(), seed in any::<u64>()) {
+        // Frozen == un-frozen clone `.pruned()`: freezing a mask drops
+        // exactly the zeroed weights' entries from the pattern.
         let mut rng = seeded_rng(seed);
         let mut conv = Conv2d::<f64>::new(cfg, &mut rng);
         // Zero a third of the weights.
-        {
-            let w = conv.weight_mut().as_mut_slice();
-            for v in w.iter_mut().step_by(3) {
-                *v = 0.0;
-            }
+        let mut p = conv.params();
+        for v in p[..conv.prunable_len()].iter_mut().step_by(3) {
+            *v = 0.0;
         }
+        conv.set_params(&p);
+        let unfrozen = conv.clone();
+        conv.freeze_pruning_mask();
         let x = uniform_tensor(&mut rng, conv.input_shape().to_vec(), 1.0);
         let y = conv.forward(&x);
-        let direct = conv.transposed_jacobian_pruned();
-        let via_full = conv.transposed_jacobian(&x, &y).pruned();
-        prop_assert_eq!(direct, via_full);
+        let frozen = conv.transposed_jacobian(&x, &y);
+        prop_assert_eq!(frozen.nnz(), conv.jacobian_nnz());
+        prop_assert_eq!(frozen, unfrozen.transposed_jacobian(&x, &y).pruned());
     }
 
     #[test]

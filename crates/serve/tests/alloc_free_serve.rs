@@ -13,7 +13,9 @@
 //! region.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
-//! test thread can pollute the process-wide counters.
+//! test thread can pollute the process-wide counters. Pool workers count
+//! too, so [`touch_every_worker`] makes sure each has started and run a
+//! task before any counted window.
 
 use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_serve::{BppsaService, ServeConfig, Ticket};
@@ -56,6 +58,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Blocks until every worker of the global pool has started and run a
+/// task. A freshly spawned worker allocates and frees on its first run
+/// (thread start-up), and warm-up batches can finish on the caller before
+/// a worker ever wakes; one task per worker, held at a barrier until all
+/// of them (and the caller) arrived, rules that out.
+fn touch_every_worker() {
+    let pool = bppsa_scan::global_pool();
+    let arrived = std::sync::Barrier::new(pool.size() + 1);
+    pool.run_indexed(pool.size() + 1, &|_| {
+        arrived.wait();
+    });
+}
 
 /// Runs `f` with counting enabled, returning `(allocs, deallocs)`.
 fn counted(f: impl FnOnce()) -> (u64, u64) {
@@ -196,6 +211,7 @@ fn steady_state_served_requests_are_allocation_free() {
     for _ in 0..3 {
         round(&mut slots);
     }
+    touch_every_worker();
 
     let (allocs, deallocs) = counted(|| {
         for _ in 0..3 {

@@ -106,7 +106,7 @@ fn planned_scan_matches_generic_on_conv_chain() {
         let mut conv = Conv2d::new(Conv2dConfig::vgg_style(ch, ch, (hw, hw)), &mut rng);
         prune_operator(&mut conv, 0.8);
         let y = conv.forward(&x);
-        chain_elems.push(ScanElement::Sparse(conv.transposed_jacobian_pruned()));
+        chain_elems.push(ScanElement::Sparse(conv.transposed_jacobian(&x, &y)));
         let relu = Relu::new(vec![ch, hw, hw]);
         let y_relu = Operator::<f64>::forward(&relu, &y);
         chain_elems.push(ScanElement::Sparse(relu.transposed_jacobian(&y, &y_relu)));
